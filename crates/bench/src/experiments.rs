@@ -822,7 +822,13 @@ pub fn e15_fault_resilience(key_bits: u32, rates: &[f64], ops: usize) -> Table {
             },
             ..ResilienceConfig::default()
         };
-        let service = RsaBatchService::new_resilient(&key, config, faults).unwrap();
+        let service = RsaBatchService::new_fleet(
+            &key,
+            &phiopenssl::PhiConfig::default(),
+            config,
+            vec![faults],
+        )
+        .unwrap();
         let handles: Vec<_> = cts
             .iter()
             .map(|c| {
@@ -834,10 +840,10 @@ pub fn e15_fault_resilience(key_bits: u32, rates: &[f64], ops: usize) -> Table {
         for (i, h) in handles.into_iter().enumerate() {
             let m = h.wait().expect("host fallback resolves every lane");
             if i == 0 {
-                assert_eq!(m, expected0, "resilient service answered wrong");
+                assert_eq!(m, expected0, "offload service answered wrong");
             }
         }
-        let report = service.shutdown_resilient();
+        let report = service.shutdown().merged();
         let thr = report.effective_throughput();
         let baseline = *clean.get_or_insert(thr);
         t.row(vec![
@@ -1358,7 +1364,7 @@ pub fn e19_fleet(key_bits: u32, cards_sweep: &[usize], ops: usize) -> Table {
             assert_eq!(m, expected0, "fleet answered wrong under resets");
         }
     }
-    let report = service.shutdown_fleet();
+    let report = service.shutdown();
     let merged = report.merged();
     t.row(vec![
         "drill".into(),
@@ -1439,7 +1445,8 @@ pub fn e20_verified_offload(key_bits: u32, rates: &[f64], ops: usize) -> Table {
             },
             ..ResilienceConfig::default()
         };
-        let service = RsaBatchService::new_verified(&key, config, faults).unwrap();
+        let phi = phiopenssl::PhiConfig::builder().verified().build();
+        let service = RsaBatchService::new_fleet(&key, &phi, config, vec![faults]).unwrap();
         let handles: Vec<_> = cts
             .iter()
             .map(|c| {
@@ -1456,7 +1463,7 @@ pub fn e20_verified_offload(key_bits: u32, rates: &[f64], ops: usize) -> Table {
             }
         }
         assert_eq!(leaked, 0, "verified service released corrupted results");
-        let report = service.shutdown_resilient();
+        let report = service.shutdown().merged();
         let thr = report.effective_throughput();
         let baseline = *clean.get_or_insert(thr);
         let verify_share = if report.modeled_virtual_seconds > 0.0 {

@@ -840,8 +840,9 @@ fn check_rsa_ops(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
     cases
 }
 
-/// The resilient batch service: the all-card path, the all-host
-/// degraded path, and the sequential oracle must be bit-identical.
+/// The resilient flush loop on a one-card service: the all-card path,
+/// the all-host degraded path, and the sequential oracle must be
+/// bit-identical.
 fn check_resilient(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
     const NAME: &str = "resilient";
     let cases = (cfg.cases / 6).max(1) as u64;
@@ -860,12 +861,15 @@ fn check_resilient(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
         let key = &keys[case as usize % keys.len()];
         let n = key.public().n();
         let ops = RsaOps::new(Box::new(MpssBaseline));
-        let card = RsaBatchService::new_resilient(key, config, None).expect("corpus key");
+        let one_card = phiopenssl::PhiConfig::default();
+        let card =
+            RsaBatchService::new_fleet(key, &one_card, config, Vec::new()).expect("corpus key");
         let faults: Arc<dyn FaultSource> = Arc::new(FaultInjector::new(
             cfg.seed ^ case,
             FaultRates::uniform(1.0),
         ));
-        let host = RsaBatchService::new_resilient(key, config, Some(faults)).expect("corpus key");
+        let host = RsaBatchService::new_fleet(key, &one_card, config, vec![Some(faults)])
+            .expect("corpus key");
         for i in 0..8u64 {
             let m = g.residue(n);
             let c = m.mod_exp(key.public().e(), n);
@@ -895,7 +899,7 @@ fn check_resilient(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
                 });
             }
         }
-        let host_report = host.shutdown_resilient();
+        let host_report = host.shutdown().merged();
         if host_report.host_fallback_ops == 0 {
             out.push(Divergence {
                 kernel: NAME,
@@ -904,12 +908,12 @@ fn check_resilient(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
                 detail: "total fault rate never exercised the host fallback".into(),
             });
         }
-        card.shutdown_resilient();
+        card.shutdown();
     }
     cases
 }
 
-/// The N-card fleet scheduler vs the single-card resilient path and the
+/// The N-card fleet scheduler vs the default one-card service and the
 /// sequential oracle: answers must be bit-identical whatever the fleet
 /// size (1–4) or routing policy, and the fleet's resolution ledger must
 /// conserve the request count — including under the burst shape that
@@ -937,7 +941,9 @@ fn check_fleet(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
         let key = &keys[case as usize % keys.len()];
         let n = key.public().n();
         let ops = RsaOps::new(Box::new(MpssBaseline));
-        let single = RsaBatchService::new_resilient(key, config, None).expect("corpus key");
+        let single =
+            RsaBatchService::new_fleet(key, &phiopenssl::PhiConfig::default(), config, Vec::new())
+                .expect("corpus key");
         let cards = 1 + (case as usize % 4);
         let phi = phiopenssl::PhiConfig::builder()
             .fleet(FleetConfig {
@@ -1005,7 +1011,7 @@ fn check_fleet(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
                 });
             }
         }
-        let report = fleet.shutdown_fleet();
+        let report = fleet.shutdown();
         if report.cards.len() != cards || report.resolved_ops() != 12 {
             out.push(Divergence {
                 kernel: NAME,
@@ -1018,7 +1024,7 @@ fn check_fleet(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
                 ),
             });
         }
-        single.shutdown_resilient();
+        single.shutdown();
     }
     cases
 }
@@ -1357,10 +1363,13 @@ fn check_verified(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
         let key = &keys[case as usize % keys.len()];
         let n = key.public().n();
         let ops = RsaOps::new(Box::new(MpssBaseline));
-        let honest = RsaBatchService::new_verified(key, config, None).expect("corpus key");
+        let verified = phiopenssl::PhiConfig::builder().verified().build();
+        let honest =
+            RsaBatchService::new_fleet(key, &verified, config, Vec::new()).expect("corpus key");
         let faults: Arc<dyn FaultSource> =
             Arc::new(FaultInjector::new(cfg.seed ^ case, FaultRates::silent(1.0)));
-        let faulted = RsaBatchService::new_verified(key, config, Some(faults)).expect("corpus key");
+        let faulted = RsaBatchService::new_fleet(key, &verified, config, vec![Some(faults)])
+            .expect("corpus key");
         for i in 0..8u64 {
             let m = g.residue(n);
             let c = m.mod_exp(key.public().e(), n);
@@ -1390,7 +1399,7 @@ fn check_verified(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
                 });
             }
         }
-        let honest_report = honest.shutdown_resilient();
+        let honest_report = honest.shutdown().merged();
         if honest_report.verify_failures != 0 {
             out.push(Divergence {
                 kernel: NAME,
@@ -1402,7 +1411,7 @@ fn check_verified(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
                 ),
             });
         }
-        let faulted_report = faulted.shutdown_resilient();
+        let faulted_report = faulted.shutdown().merged();
         if faulted_report.verify_failures == 0 {
             out.push(Divergence {
                 kernel: NAME,

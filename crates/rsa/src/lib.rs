@@ -8,7 +8,12 @@
 //! * [`ops`] — the raw (`RSAEP`/`RSADP`) modular operations, generic over
 //!   any [`Libcrypto`](phi_mont::Libcrypto): the private operation runs the
 //!   Chinese Remainder Theorem with all multiplications delegated to the
-//!   selected library, and optional multiplicative blinding.
+//!   selected library, and optional multiplicative blinding. For
+//!   batch-shaped server loads, [`RsaBatchService`] serves one key's
+//!   private operations from `phi_rt`'s offload fleet (N ≥ 1 modeled
+//!   cards, one by default): built by [`RsaBatchService::new_fleet`],
+//!   redeemed through [`RsaTicket`]s, and reported in one
+//!   [`FleetReport`](phi_rt::FleetReport).
 //! * [`padding`] — PKCS#1 v1.5 (encryption and signatures), OAEP and PSS.
 //! * [`der`] — PKCS#1 ASN.1 DER encoding/decoding of key material.
 //!

@@ -11,24 +11,19 @@
 //! pays context setup once per modulus, not once per call.
 //!
 //! For batch-shaped server loads, [`RsaBatchService`] wires a private key
-//! into the deadline-driven batch service of `phi_rt`: submissions from
-//! any thread aggregate into 16-lane [`BatchCrtEngine`] passes. An
-//! [`RsaOps`] with an attached service ([`RsaOps::with_service`]) routes
-//! eligible private operations through it and falls back to the
-//! sequential CRT path under backpressure.
-//!
-//! [`RsaBatchService::new_resilient`] builds the fault-tolerant variant
-//! instead: the same card engine behind `phi_rt`'s resilient service,
-//! with a host-scalar CRT closure as the degradation path, so injected
-//! card faults (or a tripped breaker) cost throughput, not answers.
-//!
-//! [`RsaBatchService::new_fleet`] generalizes both to an N-card fleet
-//! (`PhiConfig::builder().fleet(..)`): every modeled card runs the
-//! resilient loop over its own engine and Montgomery session cache,
-//! submissions are routed by the key's modulus fingerprint so a key's
-//! stream stays on its warm card, and work stealing plus whole-card
-//! migration keep answers flowing when a card lags or trips. A one-card
-//! fleet reproduces [`RsaBatchService::new_resilient`] bit-for-bit.
+//! into `phi_rt`'s one offload executor, the [`FleetScheduler`]:
+//! submissions from any thread aggregate into 16-lane
+//! [`BatchCrtEngine`] passes on N ≥ 1 modeled cards
+//! (`PhiConfig::builder().fleet(..)`, one card by default). Each card
+//! runs the resilient flush loop over its own engine and Montgomery
+//! session cache, with a host-scalar CRT closure as the degradation
+//! path, so injected card faults (or a tripped breaker) cost throughput,
+//! not answers. Submissions carry the key's modulus fingerprint, so a
+//! key's stream stays on its warm card. With
+//! `PhiConfig::builder().verified()` every card result is checked before
+//! release. An [`RsaOps`] with an attached service
+//! ([`RsaOps::with_service`]) routes eligible private operations through
+//! it and falls back to the sequential CRT path under backpressure.
 
 use crate::blinding::Blinding;
 use crate::error::RsaError;
@@ -38,68 +33,45 @@ use phi_bigint::BigUint;
 use phi_faults::FaultSource;
 use phi_mont::{Libcrypto, ModulusSession, OpensslBaseline};
 use phi_rt::resilient::HostFn;
-use phi_rt::service::{BatchService, ServiceConfig, SubmitError, TicketHandle};
-use phi_rt::stats::{ResilienceReport, ServiceReport};
+use phi_rt::service::SubmitError;
+use phi_rt::stats::ResilienceReport;
 use phi_rt::{
     key_fingerprint, CardSetup, FleetReport, FleetScheduler, IntegrityHooks, ResilienceConfig,
-    ResilientHandle, ResilientService,
+    ResilientHandle,
 };
 use phiopenssl::batch::{BatchMont, BATCH_WIDTH};
 use phiopenssl::{BatchCrtEngine, VMontCtx};
 use rand::Rng;
 use std::sync::{Arc, Mutex};
 
-/// The two card-side executors a service can run on.
-enum Backend {
-    /// The plain deadline-driven batch service.
-    Plain(BatchService<BigUint, BigUint>),
-    /// The fault-tolerant service: retries, deadline budget, breaker,
-    /// host-scalar fallback.
-    Resilient(ResilientService<BigUint, BigUint>),
-    /// The N-card fleet: every card runs the resilient loop over its own
-    /// engine (and therefore its own Montgomery session cache), with
-    /// key-affinity routing and work stealing on top.
-    Fleet(FleetScheduler<BigUint, BigUint>),
-}
-
-/// A pending plaintext from any backend of an [`RsaBatchService`].
-pub enum RsaTicket {
-    /// Handle into the plain batch service.
-    Plain(TicketHandle<BigUint>),
-    /// Handle into the resilient service, or into one fleet card's
-    /// resilient lane (both resolve with the same exactly-once contract).
-    Resilient(ResilientHandle<BigUint>),
-}
+/// A pending plaintext from an [`RsaBatchService`].
+pub struct RsaTicket(ResilientHandle<BigUint>);
 
 impl RsaTicket {
     /// Block until the batch carrying this request resolved.
     pub fn wait(self) -> Result<BigUint, RsaError> {
-        match self {
-            RsaTicket::Plain(h) => h.wait().map_err(RsaError::from),
-            RsaTicket::Resilient(h) => h.wait().map_err(RsaError::from),
-        }
+        self.0.wait().map_err(RsaError::from)
     }
 }
 
 /// A shared deadline-driven batch executor for one private key.
 ///
-/// Wraps [`BatchService`] (or, via [`RsaBatchService::new_resilient`],
-/// the fault-tolerant [`ResilientService`]) around a [`BatchCrtEngine`]
+/// Wraps a [`FleetScheduler`] whose cards each run a [`BatchCrtEngine`]
 /// built from the key's CRT material. Clone-free sharing: wrap it in an
 /// [`Arc`] and hand it to every [`RsaOps`] (or TLS connection) serving
 /// that key.
 pub struct RsaBatchService {
-    backend: Backend,
+    scheduler: FleetScheduler<BigUint, BigUint>,
     n: BigUint,
     /// [`key_fingerprint`] of `n`'s big-endian bytes — the routing key
-    /// every fleet submission carries, precomputed once per service.
+    /// every submission carries, precomputed once per service.
     fp: u64,
 }
 
-/// The 16-lane card executor for `key`, shared by both backends. The
-/// engine's vector backend, window width, reduction variant and tuning
-/// policy all come from `phi` — under `Tuning::Table` the engine
-/// dispatches the committed generated kernel for this key size.
+/// The 16-lane card executor for `key`. The engine's vector backend,
+/// window width, reduction variant and tuning policy all come from
+/// `phi` — under `Tuning::Table` the engine dispatches the committed
+/// generated kernel for this key size.
 fn card_engine(
     key: &RsaPrivateKey,
     phi: &phiopenssl::PhiConfig,
@@ -121,7 +93,7 @@ fn card_engine(
 /// Host-scalar CRT over the host library's Montgomery sessions — the
 /// same path [`RsaOps::private_op`] takes with no service, so degraded
 /// throughput is priced as what the host can actually do, not as a free
-/// pass. Each resilient backend (and each fleet card) owns one.
+/// pass. Each card owns one.
 fn host_crt(key: &RsaPrivateKey) -> Result<HostFn<BigUint, BigUint>, RsaError> {
     let (p, q) = (key.p().clone(), key.q().clone());
     let (dp, dq, qinv) = (key.dp().clone(), key.dq().clone(), key.qinv().clone());
@@ -175,133 +147,31 @@ fn integrity_hooks(key: &RsaPrivateKey) -> Result<IntegrityHooks<BigUint, BigUin
 }
 
 impl RsaBatchService {
-    /// Start a batch service for `key` with the given aggregation policy,
-    /// on the process-default vector backend.
-    ///
-    /// Migration note: this is the single-card constructor kept for
-    /// in-tree callers and the E14 baseline. New code should build the
-    /// card-count-agnostic stack instead —
-    /// `PhiConfig::builder().fleet(FleetConfig::default())` plus
-    /// [`RsaBatchService::new_fleet`], which reproduces this backend's
-    /// behavior bit-for-bit at `cards = 1`.
-    #[doc(hidden)]
-    pub fn new(key: &RsaPrivateKey, config: ServiceConfig) -> Result<Self, RsaError> {
-        Self::with_phi_config(key, config, &phiopenssl::PhiConfig::default())
-    }
-
-    /// Start a batch service for `key` with an explicit [`PhiConfig`]
-    /// (vector backend + window) — build one with
-    /// `PhiConfig::builder().backend(Backend::Auto)` to run the card
-    /// kernels on the host's real AVX-512/AVX2 units.
-    ///
-    /// [`PhiConfig`]: phiopenssl::PhiConfig
-    pub fn with_phi_config(
-        key: &RsaPrivateKey,
-        config: ServiceConfig,
-        phi: &phiopenssl::PhiConfig,
-    ) -> Result<Self, RsaError> {
-        let engine = card_engine(key, phi)?;
-        let service =
-            BatchService::new(config, move |cts: &[BigUint]| engine.private_op_masked(cts));
-        Ok(RsaBatchService {
-            backend: Backend::Plain(service),
-            fp: key_fingerprint(&key.public().n().to_bytes_be()),
-            n: key.public().n().clone(),
-        })
-    }
-
-    /// Service with the default policy (16 lanes, 2 ms deadline).
-    ///
-    /// Migration note: single-card constructor; new code should use
-    /// `PhiConfig::builder().fleet(..)` with
-    /// [`RsaBatchService::new_fleet`] — see [`RsaBatchService::new`].
-    #[doc(hidden)]
-    pub fn with_defaults(key: &RsaPrivateKey) -> Result<Self, RsaError> {
-        Self::new(key, ServiceConfig::default())
-    }
-
-    /// Start a fault-tolerant batch service for `key`.
-    ///
-    /// The card path is the same [`BatchCrtEngine`] as [`Self::new`]; the
-    /// degradation path is a host-scalar CRT closure over the key's
-    /// parts, so every request resolves to the correct plaintext even
-    /// when the card faults on every attempt. `faults` is the injected
-    /// fault schedule (`None` models a healthy card and costs one
-    /// pointer check per flush).
-    ///
-    /// Migration note: single-card constructor; new code should use
-    /// `PhiConfig::builder().fleet(..)` with
-    /// [`RsaBatchService::new_fleet`], which runs this exact resilient
-    /// loop per card and is bit-identical to it at `cards = 1`.
-    #[doc(hidden)]
-    pub fn new_resilient(
-        key: &RsaPrivateKey,
-        config: ResilienceConfig,
-        faults: Option<Arc<dyn FaultSource>>,
-    ) -> Result<Self, RsaError> {
-        let engine = card_engine(key, &phiopenssl::PhiConfig::default())?;
-        let host = host_crt(key)?;
-        let service = ResilientService::new(
-            config,
-            move |cts: &[BigUint]| engine.private_op_masked(cts),
-            Some(host),
-            faults,
-        );
-        Ok(RsaBatchService {
-            backend: Backend::Resilient(service),
-            fp: key_fingerprint(&key.public().n().to_bytes_be()),
-            n: key.public().n().clone(),
-        })
-    }
-
-    /// Start a *verified* fault-tolerant batch service for `key`: the
-    /// resilient loop of [`Self::new_resilient`] plus verify-on-release —
-    /// every card plaintext is checked against `m^e ≡ c (mod n)` before
-    /// it resolves, and a failed check walks the graded ladder (on-card
-    /// re-run → lane quarantine → breaker escalation → host-scalar
-    /// fallback). No unverified result is ever released, which closes
-    /// the silent-fault / Bellcore key-leak channel. Equivalent to
-    /// [`Self::new_fleet`] with `phi.verified` set and one card.
-    pub fn new_verified(
-        key: &RsaPrivateKey,
-        config: ResilienceConfig,
-        faults: Option<Arc<dyn FaultSource>>,
-    ) -> Result<Self, RsaError> {
-        let engine = card_engine(key, &phiopenssl::PhiConfig::default())?;
-        let host = host_crt(key)?;
-        let service = ResilientService::with_integrity(
-            config,
-            move |cts: &[BigUint]| engine.private_op_masked(cts),
-            Some(host),
-            faults,
-            Some(integrity_hooks(key)?),
-        );
-        Ok(RsaBatchService {
-            backend: Backend::Resilient(service),
-            fp: key_fingerprint(&key.public().n().to_bytes_be()),
-            n: key.public().n().clone(),
-        })
-    }
-
-    /// Start an N-card fleet service for `key`.
+    /// Start the batch service for `key`.
     ///
     /// The fleet shape comes from `phi.fleet`
-    /// (`PhiConfig::builder().fleet(FleetConfig { cards, .. })`): each of
-    /// the `cards` modeled KNC cards runs the same resilient loop as
-    /// [`Self::new_resilient`] over its *own* [`BatchCrtEngine`] — and
-    /// therefore its own warm Montgomery session cache — with its own
-    /// circuit breaker and virtual clock. Submissions carry the key's
+    /// (`PhiConfig::builder().fleet(FleetConfig { cards, .. })`, one card
+    /// by default): each modeled KNC card runs the resilient flush loop
+    /// over its *own* [`BatchCrtEngine`] — and therefore its own warm
+    /// Montgomery session cache — with its own circuit breaker, virtual
+    /// clock and host-scalar CRT fallback. Submissions carry the key's
     /// modulus fingerprint, so affinity routing keeps one key's stream on
     /// the card whose sessions are warm; work stealing and whole-card
-    /// migration rebalance when a card lags or trips.
+    /// migration rebalance when a card lags or trips. The engine's
+    /// vector backend, window, reduction variant and tuning also come
+    /// from `phi`.
     ///
-    /// `faults` holds one optional fault schedule per card (index =
-    /// card); a shorter vector leaves the remaining cards healthy. With
-    /// `phi.fleet.cards == 1` the service behaves bit-for-bit like
-    /// [`Self::new_resilient`]. With `phi.verified` set
-    /// (`PhiConfig::builder().verified()`) every card runs
-    /// verify-on-release and the quarantine ladder — see
-    /// [`Self::new_verified`].
+    /// With `phi.verified` set (`PhiConfig::builder().verified()`) every
+    /// card plaintext is checked against `m^e ≡ c (mod n)` before it
+    /// resolves, and a failed check walks the graded ladder (on-card
+    /// re-run → lane quarantine → breaker escalation → host-scalar
+    /// fallback). No unverified result is ever released, which closes
+    /// the silent-fault / Bellcore key-leak channel.
+    ///
+    /// `resilience` holds the collector, retry, deadline, breaker and
+    /// quarantine tunables. `faults` holds one optional fault schedule
+    /// per card (index = card); a shorter vector leaves the remaining
+    /// cards healthy.
     pub fn new_fleet(
         key: &RsaPrivateKey,
         phi: &phiopenssl::PhiConfig,
@@ -328,9 +198,8 @@ impl RsaBatchService {
             }
             setups.push(setup);
         }
-        let scheduler = FleetScheduler::new(fleet, resilience, setups);
         Ok(RsaBatchService {
-            backend: Backend::Fleet(scheduler),
+            scheduler: FleetScheduler::new(fleet, resilience, setups),
             fp: key_fingerprint(&key.public().n().to_bytes_be()),
             n: key.public().n().clone(),
         })
@@ -341,26 +210,15 @@ impl RsaBatchService {
         &self.n
     }
 
-    /// Whether the service runs a fault-tolerant backend (the resilient
-    /// service or the fleet, which is resilient per card).
-    pub fn is_resilient(&self) -> bool {
-        matches!(self.backend, Backend::Resilient(_) | Backend::Fleet(_))
-    }
-
-    /// Whether the service runs the N-card fleet backend.
-    pub fn is_fleet(&self) -> bool {
-        matches!(self.backend, Backend::Fleet(_))
-    }
-
-    /// Submit one ciphertext; redeem the handle for the plaintext. Fleet
-    /// submissions carry the modulus fingerprint so affinity routing
-    /// keeps this key's stream on its warm card.
-    pub fn submit(&self, c: BigUint) -> Result<RsaTicket, SubmitError> {
-        match &self.backend {
-            Backend::Plain(s) => Ok(RsaTicket::Plain(s.submit(c)?)),
-            Backend::Resilient(s) => Ok(RsaTicket::Resilient(s.submit(c)?)),
-            Backend::Fleet(s) => Ok(RsaTicket::Resilient(s.submit_keyed(Some(self.fp), c)?)),
+    /// Submit one ciphertext; redeem the ticket for the plaintext.
+    /// Rejects `c ≥ n` with [`RsaError::InputOutOfRange`], like
+    /// [`RsaOps::private_op`]; a full queue surfaces as
+    /// [`RsaError::Service`] carrying [`SubmitError::QueueFull`].
+    pub fn submit(&self, c: BigUint) -> Result<RsaTicket, RsaError> {
+        if c >= self.n {
+            return Err(RsaError::InputOutOfRange);
         }
+        Ok(RsaTicket(self.scheduler.submit_keyed(Some(self.fp), c)?))
     }
 
     /// Submit and block until the batch containing this request ran.
@@ -368,79 +226,18 @@ impl RsaBatchService {
         self.submit(c)?.wait()
     }
 
-    /// Telemetry snapshot (flushes, occupancy, rejects so far). For the
-    /// resilient backend this is the card-side slice of the report.
-    pub fn report(&self) -> ServiceReport {
-        match &self.backend {
-            Backend::Plain(s) => s.report(),
-            Backend::Resilient(s) => s.report().service,
-            Backend::Fleet(s) => s.report().merged().service,
-        }
-    }
-
-    /// Full resilience telemetry; `None` on the plain backend. For the
-    /// fleet this is the per-card reports merged fleet-wide.
+    /// Telemetry snapshot, every card's report merged fleet-wide. Always
+    /// `Some`: the `Option` stays only because outside callers match on
+    /// it.
     pub fn resilience_report(&self) -> Option<ResilienceReport> {
-        match &self.backend {
-            Backend::Plain(_) => None,
-            Backend::Resilient(s) => Some(s.report()),
-            Backend::Fleet(s) => Some(s.report().merged()),
-        }
+        Some(self.scheduler.report().merged())
     }
 
-    /// Per-card fleet telemetry (steals, migrations, affinity hit rate);
-    /// `None` unless the service runs the fleet backend.
-    pub fn fleet_report(&self) -> Option<FleetReport> {
-        match &self.backend {
-            Backend::Fleet(s) => Some(s.report()),
-            _ => None,
-        }
-    }
-
-    /// Drain parked requests, stop the worker(s), return final telemetry.
-    pub fn shutdown(self) -> ServiceReport {
-        match self.backend {
-            Backend::Plain(s) => s.shutdown(),
-            Backend::Resilient(s) => s.shutdown().service,
-            Backend::Fleet(s) => s.shutdown().merged().service,
-        }
-    }
-
-    /// Shut down and return the full resilience telemetry (the plain
-    /// backend's card report wrapped in an otherwise-empty one; the
-    /// fleet's per-card reports merged).
-    pub fn shutdown_resilient(self) -> ResilienceReport {
-        match self.backend {
-            Backend::Plain(s) => ResilienceReport {
-                service: s.shutdown(),
-                ..ResilienceReport::default()
-            },
-            Backend::Resilient(s) => s.shutdown(),
-            Backend::Fleet(s) => s.shutdown().merged(),
-        }
-    }
-
-    /// Shut down and return the full fleet telemetry. Single-card
-    /// backends report as a one-card fleet with no steals or migrations,
-    /// so fleet-agnostic drivers can always harvest this shape.
-    pub fn shutdown_fleet(self) -> FleetReport {
-        match self.backend {
-            Backend::Fleet(s) => s.shutdown(),
-            other => FleetReport {
-                cards: vec![match other {
-                    Backend::Plain(s) => ResilienceReport {
-                        service: s.shutdown(),
-                        ..ResilienceReport::default()
-                    },
-                    Backend::Resilient(s) => s.shutdown(),
-                    Backend::Fleet(_) => unreachable!("matched above"),
-                }],
-                steals: 0,
-                migrations: 0,
-                affinity_hits: 0,
-                affinity_misses: 0,
-            },
-        }
+    /// Drain parked requests, stop the card workers, and return the final
+    /// per-card telemetry; call [`FleetReport::merged`] for one
+    /// fleet-wide [`ResilienceReport`].
+    pub fn shutdown(self) -> FleetReport {
+        self.scheduler.shutdown()
     }
 }
 
@@ -700,11 +497,32 @@ impl RsaOps {
 mod tests {
     use super::*;
     use phi_mont::{MpssBaseline, OpensslBaseline};
+    use phi_rt::service::ServiceConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn key256() -> RsaPrivateKey {
         RsaPrivateKey::generate(&mut StdRng::seed_from_u64(0xA11CE), 256).unwrap()
+    }
+
+    fn verified() -> phiopenssl::PhiConfig {
+        phiopenssl::PhiConfig::builder().verified().build()
+    }
+
+    /// A one-card service for `key` under `phi`, its card faulting on
+    /// `faults` (`None`: a healthy card).
+    fn one_card(
+        key: &RsaPrivateKey,
+        phi: &phiopenssl::PhiConfig,
+        config: ResilienceConfig,
+        faults: Option<Arc<dyn FaultSource>>,
+    ) -> RsaBatchService {
+        RsaBatchService::new_fleet(key, phi, config, vec![faults]).expect("service starts")
+    }
+
+    fn default_service(key: &RsaPrivateKey) -> RsaBatchService {
+        let phi = phiopenssl::PhiConfig::default();
+        one_card(key, &phi, ResilienceConfig::default(), None)
     }
 
     fn all_ops() -> Vec<RsaOps> {
@@ -751,6 +569,26 @@ mod tests {
             ops.private_op(&key, &too_big),
             Err(RsaError::InputOutOfRange)
         ));
+    }
+
+    /// The service answers only canonical residues, exactly like
+    /// `private_op`: `n + 5` or `n² + 5` would otherwise decrypt as `5`
+    /// and pass the release check.
+    #[test]
+    fn service_rejects_ciphertexts_not_below_the_modulus() {
+        let key = key256();
+        let service = one_card(&key, &verified(), ResilienceConfig::default(), None);
+        let n = key.public().n();
+        let n_squared = n * n;
+        for c in [n.clone(), n + 5u64, &n_squared + 5u64] {
+            assert!(matches!(service.submit(c), Err(RsaError::InputOutOfRange)));
+        }
+        let ops = RsaOps::new(Box::new(MpssBaseline));
+        let m = BigUint::from(5u64);
+        let c = ops.public_op(key.public(), &m).unwrap();
+        assert_eq!(service.call(c).unwrap(), m);
+        let report = service.shutdown().merged();
+        assert_eq!(report.resolved_ops(), 1, "rejected inputs never queue");
     }
 
     #[test]
@@ -821,7 +659,7 @@ mod tests {
     #[test]
     fn service_backed_private_op_matches_sequential() {
         let key = key256();
-        let service = Arc::new(RsaBatchService::with_defaults(&key).unwrap());
+        let service = Arc::new(default_service(&key));
         let ops = RsaOps::new(Box::new(MpssBaseline)).with_service(Arc::clone(&service));
         let plain = RsaOps::new(Box::new(MpssBaseline));
         for i in 1u64..=5 {
@@ -833,9 +671,10 @@ mod tests {
         drop(ops);
         let report = Arc::try_unwrap(service)
             .unwrap_or_else(|_| panic!("service still shared"))
-            .shutdown();
+            .shutdown()
+            .merged();
         assert_eq!(
-            report.ops(),
+            report.service.ops(),
             5,
             "all five private ops went through the service"
         );
@@ -854,9 +693,7 @@ mod tests {
             .backend(phiopenssl::Backend::NativeX86)
             .expect("AVX2 detected")
             .build();
-        let service = Arc::new(
-            RsaBatchService::with_phi_config(&key, ServiceConfig::default(), &phi).unwrap(),
-        );
+        let service = Arc::new(one_card(&key, &phi, ResilienceConfig::default(), None));
         let ops = RsaOps::new(Box::new(MpssBaseline)).with_service(Arc::clone(&service));
         let m = BigUint::from(0xFEED_F00Du64);
         let c = ops.public_op(key.public(), &m).unwrap();
@@ -869,7 +706,7 @@ mod tests {
     fn service_for_other_key_is_bypassed() {
         let key = key256();
         let other = RsaPrivateKey::generate(&mut StdRng::seed_from_u64(0xB0B), 256).unwrap();
-        let service = Arc::new(RsaBatchService::with_defaults(&other).unwrap());
+        let service = Arc::new(default_service(&other));
         let ops = RsaOps::new(Box::new(MpssBaseline)).with_service(Arc::clone(&service));
         let m = BigUint::from(8675309u64);
         let c = ops.public_op(key.public(), &m).unwrap();
@@ -877,27 +714,26 @@ mod tests {
         drop(ops);
         let report = Arc::try_unwrap(service)
             .unwrap_or_else(|_| panic!("service still shared"))
-            .shutdown();
+            .shutdown()
+            .merged();
         assert_eq!(
-            report.ops(),
+            report.service.ops(),
             0,
             "mismatched modulus must not reach the service"
         );
     }
 
     #[test]
-    fn resilient_service_with_a_healthy_card_matches_plain() {
+    fn healthy_card_serves_every_op_on_card() {
         let key = key256();
-        let service = RsaBatchService::new_resilient(&key, ResilienceConfig::default(), None)
-            .expect("resilient service");
-        assert!(service.is_resilient());
+        let service = default_service(&key);
         let ops = RsaOps::new(Box::new(MpssBaseline));
         for i in 1u64..=4 {
             let m = BigUint::from(i * 7_654_321);
             let c = ops.public_op(key.public(), &m).unwrap();
             assert_eq!(service.call(c).unwrap(), m);
         }
-        let report = service.shutdown_resilient();
+        let report = service.shutdown().merged();
         assert_eq!(report.service.ops(), 4, "all ops completed on the card");
         assert_eq!(report.host_fallback_ops, 0);
         assert_eq!(report.errored_ops, 0);
@@ -918,8 +754,8 @@ mod tests {
             },
             ..ResilienceConfig::default()
         };
-        let service =
-            RsaBatchService::new_resilient(&key, config, Some(faults)).expect("resilient service");
+        let phi = phiopenssl::PhiConfig::default();
+        let service = one_card(&key, &phi, config, Some(faults));
         let ops = RsaOps::new(Box::new(MpssBaseline));
         for i in 1u64..=6 {
             let m = BigUint::from(i * 1_000_003);
@@ -928,7 +764,7 @@ mod tests {
             // the host-scalar CRT closure picks up every lane.
             assert_eq!(service.call(c).unwrap(), m);
         }
-        let report = service.shutdown_resilient();
+        let report = service.shutdown().merged();
         assert_eq!(report.errored_ops, 0, "host fallback leaves no errors");
         assert_eq!(report.host_fallback_ops as usize + report.service.ops(), 6);
         assert!(report.host_fallback_ops > 0, "total fault rate forces host");
@@ -936,7 +772,7 @@ mod tests {
     }
 
     #[test]
-    fn single_card_fleet_matches_resilient_answers() {
+    fn single_card_fleet_keys_every_submission() {
         let key = key256();
         let service = RsaBatchService::new_fleet(
             &key,
@@ -945,15 +781,13 @@ mod tests {
             Vec::new(),
         )
         .expect("fleet service");
-        assert!(service.is_fleet());
-        assert!(service.is_resilient());
         let ops = RsaOps::new(Box::new(MpssBaseline));
         for i in 1u64..=4 {
             let m = BigUint::from(i * 9_999_991);
             let c = ops.public_op(key.public(), &m).unwrap();
             assert_eq!(service.call(c).unwrap(), m);
         }
-        let report = service.shutdown_fleet();
+        let report = service.shutdown();
         assert_eq!(report.cards.len(), 1);
         assert_eq!(report.resolved_ops(), 4);
         assert_eq!(report.steals, 0, "one card has nobody to steal from");
@@ -984,7 +818,7 @@ mod tests {
             let c = ops.public_op(key.public(), &m).unwrap();
             assert_eq!(service.call(c).unwrap(), m);
         }
-        let report = service.shutdown_fleet();
+        let report = service.shutdown();
         assert_eq!(report.cards.len(), 3);
         assert_eq!(report.resolved_ops(), 6);
         assert_eq!(report.affinity_misses, 1, "one cold-key homing");
@@ -1014,7 +848,7 @@ mod tests {
             let c = ops.public_op(key.public(), &m).unwrap();
             assert_eq!(service.call(c).unwrap(), m);
         }
-        let merged = service.shutdown_resilient();
+        let merged = service.shutdown().merged();
         assert_eq!(merged.errored_ops, 0);
         assert_eq!(merged.resolved_ops(), 5);
     }
@@ -1025,10 +859,13 @@ mod tests {
         let key = key256();
         let faults: Arc<dyn FaultSource> =
             Arc::new(FaultInjector::new(0x5EED, FaultRates::uniform(0.5)));
-        let service = Arc::new(
-            RsaBatchService::new_resilient(&key, ResilienceConfig::default(), Some(faults))
-                .expect("resilient service"),
-        );
+        let phi = phiopenssl::PhiConfig::default();
+        let service = Arc::new(one_card(
+            &key,
+            &phi,
+            ResilienceConfig::default(),
+            Some(faults),
+        ));
         let ops = RsaOps::new(Box::new(MpssBaseline)).with_service(Arc::clone(&service));
         for i in 1u64..=5 {
             let m = BigUint::from(i * 31_337);
@@ -1038,7 +875,8 @@ mod tests {
         drop(ops);
         let report = Arc::try_unwrap(service)
             .unwrap_or_else(|_| panic!("service still shared"))
-            .shutdown_resilient();
+            .shutdown()
+            .merged();
         assert_eq!(report.errored_ops, 0);
         assert_eq!(report.resolved_ops(), 5);
     }
@@ -1060,7 +898,7 @@ mod tests {
             },
             ..ResilienceConfig::default()
         };
-        let service = RsaBatchService::new_verified(&key, config, None).expect("verified service");
+        let service = one_card(&key, &verified(), config, None);
         let ops = RsaOps::new(Box::new(MpssBaseline));
         let plaintexts: Vec<BigUint> = (1u64..=16).map(|i| BigUint::from(i * 5_555_551)).collect();
         let tickets: Vec<RsaTicket> = plaintexts
@@ -1073,7 +911,7 @@ mod tests {
         for (ticket, m) in tickets.into_iter().zip(&plaintexts) {
             assert_eq!(&ticket.wait().unwrap(), m);
         }
-        let report = service.shutdown_resilient();
+        let report = service.shutdown().merged();
         assert_eq!(report.verified_ops, 16, "every released result checked");
         assert_eq!(report.verify_failures, 0, "honest results never rejected");
         assert!(
@@ -1105,16 +943,14 @@ mod tests {
         // caller.
         let faults: Arc<dyn FaultSource> =
             Arc::new(FaultInjector::new(0xC0FFEE, FaultRates::silent(0.5)));
-        let service =
-            RsaBatchService::new_verified(&key, ResilienceConfig::default(), Some(faults))
-                .expect("verified service");
+        let service = one_card(&key, &verified(), ResilienceConfig::default(), Some(faults));
         let ops = RsaOps::new(Box::new(MpssBaseline));
         for i in 1u64..=8 {
             let m = BigUint::from(i * 2_718_281);
             let c = ops.public_op(key.public(), &m).unwrap();
             assert_eq!(service.call(c).unwrap(), m, "no corrupted result escapes");
         }
-        let report = service.shutdown_resilient();
+        let report = service.shutdown().merged();
         assert_eq!(report.errored_ops, 0);
         assert_eq!(report.faults_seen, 0, "silent faults stay invisible");
         assert!(report.verify_failures > 0, "a 50% schedule must corrupt");
@@ -1144,7 +980,7 @@ mod tests {
             let c = ops.public_op(key.public(), &m).unwrap();
             assert_eq!(service.call(c).unwrap(), m);
         }
-        let merged = service.shutdown_resilient();
+        let merged = service.shutdown().merged();
         assert_eq!(merged.errored_ops, 0);
         assert_eq!(merged.resolved_ops(), 6);
         assert!(merged.verified_ops > 0, "the fleet path runs the check");

@@ -1,10 +1,10 @@
-//! Multi-card fleet scheduling: N modeled KNC cards behind one
+//! The offload executor: N ≥ 1 modeled KNC cards behind one
 //! submit-from-anywhere façade with key-affinity routing, work stealing,
 //! and per-card fault isolation.
 //!
 //! The paper's deployment offloads to a single Xeon Phi 5110P; real
-//! hosts pack several. This module makes the offload stack
-//! card-count-agnostic:
+//! hosts pack several. This module is the one offload path for both: a
+//! one-card fleet is the paper's deployment, more cards scale it out.
 //!
 //! * [`FleetRouter`] — the pure routing state machine. Given a key
 //!   fingerprint (a modulus hash), the per-card queue depths and the
@@ -13,16 +13,13 @@
 //!   Montgomery session (cold keys land on the least-loaded card and
 //!   stick), **RoundRobin** ignores keys, **Random** draws from a seeded
 //!   generator. Deterministic and clockless, so simulations and
-//!   proptests drive it directly — the same split as
-//!   [`Collector`] vs [`BatchService`](crate::service::BatchService).
+//!   proptests drive it directly, just as they drive the [`Collector`].
 //! * [`FleetScheduler`] — the threaded wrapper: one worker thread per
 //!   card, each owning its own [`Collector`], [`CircuitBreaker`],
 //!   modeled virtual clock and [`CostModel`] instance
-//!   ([`CostModel::knc_fleet`]), executing flushes through the *same*
-//!   [`run_flush`](crate::resilient) loop as
-//!   [`ResilientService`](crate::resilient::ResilientService). With
-//!   `cards = 1` the fleet is bit- and cycle-identical to the
-//!   single-card path by construction.
+//!   ([`CostModel::knc_fleet`]), executing every flush through the
+//!   resilient loop of [`crate::resilient`] (breaker, retries, deadline
+//!   budget, host fallback, optional verify-on-release).
 //!
 //! Two cross-card mechanisms keep the fleet balanced and available:
 //!
@@ -63,9 +60,8 @@ pub enum RoutingPolicy {
     Random,
 }
 
-/// Fleet-level tunables. `cards = 1` reproduces the single-card stack
-/// bit-for-bit (no stealing partner, no migration target — the lone
-/// worker runs the exact `ResilientService` flush loop).
+/// Fleet-level tunables. `cards = 1` is the single-card deployment: no
+/// stealing partner and no migration target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetConfig {
     /// Modeled KNC cards behind the scheduler.
@@ -178,7 +174,7 @@ impl FleetRouter {
     /// Pick the card for a submission. `depths[c]` is card `c`'s parked
     /// queue depth and `online[c]` its breaker-closed flag; when every
     /// card is offline all of them count as eligible again (degrading on
-    /// some card beats rejecting — the single-card stack does the same).
+    /// some card beats rejecting: an open breaker degrades to the host).
     pub fn route(&mut self, key: Option<u64>, depths: &[usize], online: &[bool]) -> usize {
         debug_assert_eq!(depths.len(), self.config.cards);
         debug_assert_eq!(online.len(), self.config.cards);
@@ -264,9 +260,9 @@ pub type CardFn<T, R> = Box<dyn Fn(&[T]) -> Vec<R> + Send>;
 /// executor (its own engine, and therefore its own Montgomery-session
 /// cache), its host-scalar fallback and its fault schedule.
 pub struct CardSetup<T, R> {
-    /// The batch executor for this card — same contract as
-    /// [`BatchService`](crate::service::BatchService): one result per
-    /// payload, in order.
+    /// The batch executor for this card: one result per payload, in
+    /// order. A closure that panics (or returns the wrong number of
+    /// results) poisons only that attempt's lanes.
     pub card_fn: CardFn<T, R>,
     /// Host-scalar fallback; `None` turns degradation into typed errors.
     pub host_fn: Option<HostFn<T, R>>,
@@ -387,10 +383,10 @@ fn lock<'a, T, R>(m: &'a Mutex<FleetState<T, R>>) -> std::sync::MutexGuard<'a, F
 
 /// The N-card scheduler: routes submissions by key affinity, steals for
 /// balance, and isolates faults per card. See the module docs for the
-/// architecture; per-request semantics (exactly-once resolution, typed
-/// [`OffloadError`](crate::resilient::OffloadError)s, drain-on-shutdown)
-/// are exactly those of
-/// [`ResilientService`](crate::resilient::ResilientService).
+/// architecture. Every admitted request resolves exactly once — on a
+/// card, on the host fallback, or with a typed
+/// [`OffloadError`](crate::resilient::OffloadError) — and shutdown drains
+/// every parked request before the workers stop.
 pub struct FleetScheduler<T: Send + Clone + 'static, R: Send + 'static> {
     shared: Arc<FleetShared<T, R>>,
     workers: Vec<thread::JoinHandle<()>>,
@@ -407,6 +403,7 @@ impl<T: Send + Clone + 'static, R: Send + 'static> FleetScheduler<T, R> {
         setups: Vec<CardSetup<T, R>>,
     ) -> Self {
         fleet.validate();
+        resilience.validate();
         assert_eq!(
             setups.len(),
             fleet.cards,
@@ -474,8 +471,8 @@ impl<T: Send + Clone + 'static, R: Send + 'static> FleetScheduler<T, R> {
             .find(|&c| depths[c] < state.cards[c].collector.config().queue_cap);
         let card = match target {
             Some(c) => c,
-            // Everything full: submit to the primary anyway so the
-            // rejection is accounted exactly like the single-card path.
+            // Everything full: submit to the primary anyway so its
+            // collector counts the rejection.
             None => primary,
         };
         let ticket = state.cards[card].collector.submit(
@@ -583,9 +580,9 @@ fn fleet_worker<T, R>(
         faults,
         integrity,
     } = setup;
-    // Breaker, lane quarantine and virtual clock are worker-local,
-    // exactly as in `resilient_worker`: flushes run outside the state
-    // lock.
+    // Breaker, lane quarantine and virtual clock are worker-local:
+    // flushes run outside the state lock, and only this thread drives
+    // them.
     let mut breaker = CircuitBreaker::new(config.breaker);
     let mut quarantine = LaneQuarantine::new(config.service.width, config.quarantine);
     let mut vnow: f64 = 0.0;
@@ -662,6 +659,7 @@ fn fleet_worker<T, R>(
             slot.report.host_fallback_ops += stats.host_completed as u64;
             slot.report.host_modeled_seconds += stats.host_modeled_s;
             slot.report.errored_ops += stats.errored as u64;
+            slot.report.service.poisoned_jobs += stats.poisoned;
             if stats.deadline_cancelled {
                 slot.report.deadline_cancellations += 1;
             }
@@ -852,7 +850,7 @@ mod tests {
     }
 
     #[test]
-    fn single_card_fleet_answers_like_resilient_service() {
+    fn single_card_fleet_answers_every_request() {
         let scheduler = FleetScheduler::new(
             fleet(1, RoutingPolicy::Affinity),
             config(4, 10.0, 64),
@@ -982,7 +980,7 @@ mod tests {
         // A 1-card fleet whose card blocks mid-flush until released: with
         // the worker pinned inside `card_fn`, the queue fills to its
         // high-water mark deterministically and the next submission must
-        // bounce with `QueueFull` exactly like the single-card service.
+        // bounce with `QueueFull`.
         let cap = 4usize;
         let (entered_tx, entered_rx) = std::sync::mpsc::channel::<()>();
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
@@ -1038,6 +1036,149 @@ mod tests {
                 .fold(0.0, f64::max),
             "fleet virtual time is the slowest card's clock"
         );
+    }
+
+    /// Redeem a handle, failing the test instead of hanging if the
+    /// worker never answers.
+    fn wait_within(h: ResilientHandle<u64>) -> Result<u64, OffloadError> {
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let _ = tx.send(h.wait());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(3))
+            .expect("ticket hung: the card worker stopped answering")
+    }
+
+    /// A card that panics on payload 13, breaks the one-result-per-
+    /// payload contract on payload 14, and doubles everything else.
+    fn poisonable() -> CardSetup<u64, u64> {
+        CardSetup::new(|xs: &[u64]| {
+            if xs.contains(&13) {
+                panic!("injected poison");
+            }
+            if xs.contains(&14) {
+                return Vec::new();
+            }
+            xs.iter().map(|x| x * 2).collect()
+        })
+    }
+
+    #[test]
+    fn poisoned_batch_does_not_kill_the_service() {
+        let scheduler = FleetScheduler::new(
+            fleet(1, RoutingPolicy::Affinity),
+            config(2, 10.0, 16),
+            vec![poisonable()],
+        );
+        // This pair flushes together and poisons its attempt.
+        let a = scheduler.submit(13).unwrap();
+        let b = scheduler.submit(1).unwrap();
+        assert_eq!(wait_within(a), Err(OffloadError::Poisoned));
+        assert_eq!(wait_within(b), Err(OffloadError::Poisoned));
+        // The worker survived: a clean batch still completes.
+        let c = scheduler.submit(2).unwrap();
+        let d = scheduler.submit(3).unwrap();
+        assert_eq!(wait_within(c), Ok(4));
+        assert_eq!(wait_within(d), Ok(6));
+        // A short result vector poisons its attempt the same way.
+        let e = scheduler.submit(14).unwrap();
+        let f = scheduler.submit(5).unwrap();
+        assert_eq!(wait_within(e), Err(OffloadError::Poisoned));
+        assert_eq!(wait_within(f), Err(OffloadError::Poisoned));
+        let report = scheduler.shutdown().merged();
+        assert_eq!(report.service.poisoned_jobs, 4);
+        assert_eq!(report.errored_ops, 4);
+        assert_eq!(report.service.ops(), 2, "only the clean batch ran on card");
+        assert_eq!(report.resolved_ops(), 6, "every request resolved once");
+    }
+
+    #[test]
+    fn poisoned_lanes_fall_back_to_the_host() {
+        // The host answers the poisoned lanes, except payload 13, on which
+        // it panics too: that lane alone ends in a typed error.
+        let host = |x: &u64| {
+            assert_ne!(*x, 13, "injected host poison");
+            x * 2
+        };
+        let scheduler = FleetScheduler::new(
+            fleet(1, RoutingPolicy::Affinity),
+            config(2, 10.0, 16),
+            vec![poisonable().with_host(host)],
+        );
+        let a = scheduler.submit(13).unwrap();
+        let b = scheduler.submit(1).unwrap();
+        assert_eq!(wait_within(a), Err(OffloadError::Poisoned));
+        assert_eq!(wait_within(b), Ok(2));
+        let report = scheduler.shutdown().merged();
+        assert_eq!(report.service.poisoned_jobs, 2, "a lane counts once");
+        assert_eq!(report.host_fallback_ops, 1);
+        assert_eq!(report.errored_ops, 1);
+    }
+
+    #[test]
+    fn deadline_completes_partial_batches() {
+        // Deadline far below test timeout but long enough to batch: the
+        // single submission can only complete via the deadline path.
+        let scheduler = FleetScheduler::new(
+            fleet(1, RoutingPolicy::Affinity),
+            config(16, 5e-3, 64),
+            doubler_setup(1),
+        );
+        assert_eq!(scheduler.call_keyed(None, 21).unwrap(), Ok(42));
+        let report = scheduler.shutdown().merged();
+        assert_eq!(report.service.ops(), 1);
+        assert_eq!(report.service.flushes_by(FlushReason::Deadline), 1);
+        assert!(report.service.flushes[0].occupancy < 16);
+    }
+
+    #[test]
+    fn telemetry_records_occupancy_and_times() {
+        let scheduler = FleetScheduler::new(
+            fleet(1, RoutingPolicy::Affinity),
+            config(2, 10.0, 8),
+            doubler_setup(1),
+        );
+        let handles: Vec<_> = (0..4).map(|i| scheduler.submit(i).unwrap()).collect();
+        for h in handles {
+            h.wait().unwrap();
+        }
+        let report = scheduler.shutdown().merged();
+        assert_eq!(report.service.flushes_by(FlushReason::Full), 2);
+        for f in &report.service.flushes {
+            assert_eq!(f.occupancy, 2);
+            assert_eq!(f.width, 2);
+            assert!(f.wall_seconds >= 0.0);
+            assert!(f.oldest_wait >= 0.0);
+        }
+    }
+
+    #[test]
+    fn tickets_within_one_fleet_are_distinct() {
+        let scheduler = FleetScheduler::new(
+            fleet(1, RoutingPolicy::Affinity),
+            config(4, 1e-3, 64),
+            doubler_setup(1),
+        );
+        let mut seen = std::collections::HashSet::new();
+        for i in 0..32 {
+            let h = scheduler.submit(i).unwrap();
+            assert!(seen.insert(h.ticket()), "duplicate ticket {}", h.ticket());
+            h.wait().unwrap();
+        }
+    }
+
+    #[test]
+    fn dropped_scheduler_drains_parked_requests() {
+        // An hour-long deadline: the parked request can only resolve
+        // through the drain that dropping the scheduler performs.
+        let scheduler = FleetScheduler::new(
+            fleet(1, RoutingPolicy::Affinity),
+            config(16, 3600.0, 64),
+            doubler_setup(1),
+        );
+        let h = scheduler.submit(9).unwrap();
+        drop(scheduler);
+        assert_eq!(h.wait(), Ok(18));
     }
 
     #[test]

@@ -1,13 +1,11 @@
-//! The resilient offload path: deadline-enforced, retrying,
+//! The resilient flush loop: deadline-enforced, retrying,
 //! breaker-gated batch execution with host-fallback degradation.
 //!
-//! [`BatchService`](crate::service::BatchService) assumes the card never
-//! misbehaves; this module is the layer a deployment would actually run.
-//! A [`ResilientService`] owns the same deadline-driven
-//! [`Collector`] but executes each flush through a fault-aware loop:
+//! Every card worker of [`FleetScheduler`](crate::FleetScheduler) (one
+//! card or many) executes each flush through the same loop, `run_flush`:
 //!
 //! 1. **Breaker gate** — a [`CircuitBreaker`] tracks card health on the
-//!    service's modeled virtual clock. While it is open, flushes skip the
+//!    card's modeled virtual clock. While it is open, flushes skip the
 //!    card entirely and degrade to the host-scalar fallback; once the
 //!    cooldown elapses, half-open probes let a recovered card earn its
 //!    traffic back.
@@ -26,12 +24,16 @@
 //!    per request, never while draining — so shutdown always terminates).
 //! 5. **Exactly-once resolution** — every admitted request resolves
 //!    exactly once: on the card, on the host fallback, or with a typed
-//!    [`OffloadError`]. No hangs, no lost tickets, no double answers.
+//!    [`OffloadError`]. No hangs, no lost tickets, no double answers. A
+//!    card closure that panics poisons only the lanes of that attempt:
+//!    they resolve off-card, count in
+//!    [`ServiceReport::poisoned_jobs`](crate::ServiceReport::poisoned_jobs),
+//!    and the worker lives on.
 //! 6. **Verified release** — with [`IntegrityHooks`] attached
-//!    ([`ResilientService::with_integrity`]), no card result reaches a
-//!    caller before the host's release check passes. A failed check
-//!    walks the graded degradation ladder: re-run the lane once
-//!    on-card, quarantine the physical lane
+//!    ([`CardSetup::with_integrity`](crate::CardSetup::with_integrity)),
+//!    no card result reaches a caller before the host's release check
+//!    passes. A failed check walks the graded degradation ladder: re-run
+//!    the lane once on-card, quarantine the physical lane
 //!    ([`crate::verify::LaneQuarantine`]), escalate repeated
 //!    quarantines to the breaker, and finally resolve off-card (host
 //!    fallback or [`OffloadError::IntegrityFailure`]). This is the
@@ -39,14 +41,13 @@
 //!    ([`phi_faults::FaultKind::is_silent`]), which corrupt results
 //!    while the attempt reports success — undetectable by steps 1–4.
 //!
-//! With no fault source and a closed breaker the card path is the same
-//! measured `card_fn` invocation the plain service makes; the resilience
-//! machinery costs one `Option` check per flush and never records
-//! modeled operations of its own. Likewise, a service without a verify
-//! hook runs bit- and cycle-identically to the pre-verification stack.
+//! With no fault source and a closed breaker the card path is one
+//! measured `card_fn` invocation per flush; the resilience machinery
+//! costs one `Option` check per flush and never records modeled
+//! operations of its own. Likewise, a card without a verify hook runs
+//! bit- and cycle-identically to the pre-verification stack.
 
-use crate::service::{Collector, FlushReason, Pending, ServiceConfig, SubmitError, Ticket};
-use crate::stats::{FlushRecord, ResilienceReport};
+use crate::service::{Pending, ServiceConfig, Ticket};
 use crate::verify::{IntegrityHooks, LaneQuarantine, QuarantineConfig};
 use phi_faults::{
     BackoffPolicy, BreakerConfig, BreakerState, CircuitBreaker, FaultKind, FaultSource,
@@ -54,12 +55,10 @@ use phi_faults::{
 use phi_simd::cost::CostModel;
 use phi_simd::count;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
-use std::time::Instant;
 
-/// Tunables of the resilient service, over and above the collector's.
+/// Tunables of the resilient flush loop, over and above the collector's.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceConfig {
     /// Collector tunables (width, max wait, queue cap).
@@ -100,7 +99,7 @@ impl Default for ResilienceConfig {
 }
 
 impl ResilienceConfig {
-    fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             self.flush_deadline_s > 0.0,
             "flush deadline must be positive"
@@ -111,7 +110,7 @@ impl ResilienceConfig {
     }
 }
 
-/// Why a request left the resilient service without a result.
+/// Why a request left the offload service without a result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OffloadError {
     /// Every retry of the request's batch faulted and no host fallback
@@ -138,6 +137,10 @@ pub enum OffloadError {
         /// Verification rejections the request accumulated.
         rejections: u32,
     },
+    /// The card closure panicked on the attempt carrying this request
+    /// (or the host fallback panicked on it), and no host fallback could
+    /// answer instead.
+    Poisoned,
     /// The service shut down without answering this ticket.
     ServiceShutdown,
 }
@@ -158,7 +161,8 @@ impl fmt::Display for OffloadError {
                     "result failed verification {rejections} times, no fallback"
                 )
             }
-            OffloadError::ServiceShutdown => write!(f, "resilient service shut down"),
+            OffloadError::Poisoned => write!(f, "card batch panicked, no fallback"),
+            OffloadError::ServiceShutdown => write!(f, "offload service shut down"),
         }
     }
 }
@@ -168,36 +172,13 @@ impl std::error::Error for OffloadError {}
 /// The host-scalar fallback executor: one request at a time, no card.
 pub type HostFn<T, R> = Box<dyn Fn(&T) -> R + Send>;
 
-/// A request travelling through the resilient service (and through the
-/// per-card flush loops of [`crate::fleet::FleetScheduler`], which reuses
-/// this exact machinery so fleet answers inherit the same guarantees).
+/// A request travelling through the per-card flush loops of
+/// [`crate::fleet::FleetScheduler`].
 pub(crate) struct RJob<T, R> {
     pub(crate) payload: T,
     pub(crate) reply: mpsc::Sender<Result<R, OffloadError>>,
     /// Times a deadline cancellation has already put this job back.
     pub(crate) requeues: u32,
-}
-
-struct RState<T, R> {
-    collector: Collector<RJob<T, R>>,
-    report: ResilienceReport,
-    shutdown: bool,
-}
-
-struct RShared<T, R> {
-    state: Mutex<RState<T, R>>,
-    wake: Condvar,
-    epoch: Instant,
-}
-
-impl<T, R> RShared<T, R> {
-    fn now(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
-    }
-}
-
-fn lock<'a, T, R>(m: &'a Mutex<RState<T, R>>) -> std::sync::MutexGuard<'a, RState<T, R>> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A pending resilient result: redeem with [`ResilientHandle::wait`].
@@ -208,8 +189,7 @@ pub struct ResilientHandle<R> {
 }
 
 impl<R> ResilientHandle<R> {
-    /// Assemble a handle around an existing reply channel (the fleet
-    /// scheduler hands out the same handle type as this service).
+    /// Assemble a handle around the reply channel of a submitted job.
     pub(crate) fn from_parts(ticket: Ticket, rx: mpsc::Receiver<Result<R, OffloadError>>) -> Self {
         ResilientHandle { ticket, rx }
     }
@@ -231,141 +211,6 @@ impl<R> ResilientHandle<R> {
     }
 }
 
-/// The fault-tolerant deadline-driven batch service.
-///
-/// Shaped like [`BatchService`](crate::service::BatchService) — one
-/// worker thread, submit-from-anywhere, per-ticket reply channels — but
-/// each flush runs the breaker/retry/deadline loop described in the
-/// module docs, and every request resolves to `Result<R, OffloadError>`.
-pub struct ResilientService<T: Send + Clone + 'static, R: Send + 'static> {
-    shared: Arc<RShared<T, R>>,
-    worker: Option<thread::JoinHandle<()>>,
-}
-
-impl<T: Send + Clone + 'static, R: Send + 'static> ResilientService<T, R> {
-    /// Start a resilient service.
-    ///
-    /// * `card_fn` — the batch executor (the modeled card path), same
-    ///   contract as the plain service: one result per payload, in order.
-    /// * `host_fn` — the scalar host fallback; `None` turns degradation
-    ///   into typed errors instead.
-    /// * `faults` — the fault schedule; `None` (a healthy card) costs a
-    ///   single pointer check per attempt.
-    pub fn new<F>(
-        config: ResilienceConfig,
-        card_fn: F,
-        host_fn: Option<HostFn<T, R>>,
-        faults: Option<Arc<dyn FaultSource>>,
-    ) -> Self
-    where
-        F: Fn(&[T]) -> Vec<R> + Send + 'static,
-    {
-        Self::with_integrity(config, card_fn, host_fn, faults, None)
-    }
-
-    /// Start a resilient service with result-integrity hooks.
-    ///
-    /// `integrity` models silent corruption (its `corrupt` hook is how
-    /// [`phi_faults::FaultKind::is_silent`] faults mutate results) and,
-    /// when its `verify` hook is present, checks every card result
-    /// before release — walking the graded degradation ladder on
-    /// failure. `None` (or a corrupt-only hook set) releases card
-    /// results unchecked, exactly like [`ResilientService::new`].
-    pub fn with_integrity<F>(
-        config: ResilienceConfig,
-        card_fn: F,
-        host_fn: Option<HostFn<T, R>>,
-        faults: Option<Arc<dyn FaultSource>>,
-        integrity: Option<IntegrityHooks<T, R>>,
-    ) -> Self
-    where
-        F: Fn(&[T]) -> Vec<R> + Send + 'static,
-    {
-        config.validate();
-        let shared = Arc::new(RShared {
-            state: Mutex::new(RState {
-                collector: Collector::new(config.service),
-                report: ResilienceReport::default(),
-                shutdown: false,
-            }),
-            wake: Condvar::new(),
-            epoch: Instant::now(),
-        });
-        let worker_shared = Arc::clone(&shared);
-        let worker = thread::Builder::new()
-            .name("phi-resilient-service".into())
-            .spawn(move || {
-                resilient_worker(worker_shared, config, card_fn, host_fn, faults, integrity)
-            })
-            .expect("spawn resilient service worker");
-        ResilientService {
-            shared,
-            worker: Some(worker),
-        }
-    }
-
-    /// Submit one request; fails fast with [`SubmitError::QueueFull`]
-    /// under backpressure.
-    pub fn submit(&self, payload: T) -> Result<ResilientHandle<R>, SubmitError> {
-        let (reply, rx) = mpsc::channel();
-        let now = self.shared.now();
-        let mut state = lock(&self.shared.state);
-        if state.shutdown {
-            return Err(SubmitError::ServiceShutdown);
-        }
-        let ticket = state.collector.submit(
-            RJob {
-                payload,
-                reply,
-                requeues: 0,
-            },
-            now,
-        )?;
-        drop(state);
-        self.shared.wake.notify_one();
-        Ok(ResilientHandle { ticket, rx })
-    }
-
-    /// Submit and block. The outer error is admission (queue full), the
-    /// inner one execution (fault/deadline/offline).
-    pub fn call(&self, payload: T) -> Result<Result<R, OffloadError>, SubmitError> {
-        Ok(self.submit(payload)?.wait())
-    }
-
-    /// Snapshot of the resilience telemetry so far.
-    pub fn report(&self) -> ResilienceReport {
-        let state = lock(&self.shared.state);
-        let mut report = state.report.clone();
-        report.service.rejected = state.collector.rejected();
-        report
-    }
-
-    /// Stop accepting work, drain every parked request (drained flushes
-    /// resolve instead of requeueing, so this terminates), and return the
-    /// final telemetry.
-    pub fn shutdown(mut self) -> ResilienceReport {
-        self.stop_worker();
-        let state = lock(&self.shared.state);
-        let mut report = state.report.clone();
-        report.service.rejected = state.collector.rejected();
-        report
-    }
-
-    fn stop_worker(&mut self) {
-        if let Some(worker) = self.worker.take() {
-            lock(&self.shared.state).shutdown = true;
-            self.shared.wake.notify_all();
-            worker.join().expect("resilient service worker panicked");
-        }
-    }
-}
-
-impl<T: Send + Clone + 'static, R: Send + 'static> Drop for ResilientService<T, R> {
-    fn drop(&mut self) {
-        self.stop_worker();
-    }
-}
-
 /// Everything one flush did, merged into the report under the state lock.
 pub(crate) struct FlushStats<T, R> {
     pub(crate) card_completed: usize,
@@ -381,6 +226,7 @@ pub(crate) struct FlushStats<T, R> {
     pub(crate) verify_modeled_s: f64,
     pub(crate) deadline_cancelled: bool,
     pub(crate) degraded: bool,
+    pub(crate) poisoned: u64,
     pub(crate) requeued: Vec<Pending<RJob<T, R>>>,
 }
 
@@ -400,118 +246,9 @@ impl<T, R> FlushStats<T, R> {
             verify_modeled_s: 0.0,
             deadline_cancelled: false,
             degraded: false,
+            poisoned: 0,
             requeued: Vec::new(),
         }
-    }
-}
-
-fn resilient_worker<T, R, F>(
-    shared: Arc<RShared<T, R>>,
-    config: ResilienceConfig,
-    card_fn: F,
-    host_fn: Option<HostFn<T, R>>,
-    faults: Option<Arc<dyn FaultSource>>,
-    integrity: Option<IntegrityHooks<T, R>>,
-) where
-    T: Send + Clone,
-    R: Send,
-    F: Fn(&[T]) -> Vec<R>,
-{
-    let cost = CostModel::knc();
-    // The breaker, lane quarantine and virtual clock are worker-local:
-    // flush execution happens outside the state lock, and only this
-    // thread drives them.
-    let mut breaker = CircuitBreaker::new(config.breaker);
-    let mut quarantine = LaneQuarantine::new(config.service.width, config.quarantine);
-    let mut vnow: f64 = 0.0;
-    let mut state = lock(&shared.state);
-    loop {
-        let now = shared.now();
-        let due = state.collector.ready(now);
-        let draining = state.shutdown && !state.collector.is_empty();
-        if let Some(reason) = due.or(if draining {
-            Some(FlushReason::Drain)
-        } else {
-            None
-        }) {
-            let batch = state.collector.take_batch(reason, now);
-            drop(state);
-
-            let oldest_wait = batch.oldest_wait();
-            let depth_after = batch.depth_after;
-            let wall_start = Instant::now();
-            let stats = run_flush(
-                &config,
-                &cost,
-                &card_fn,
-                host_fn.as_deref(),
-                faults.as_deref(),
-                integrity.as_ref(),
-                &mut breaker,
-                &mut quarantine,
-                &mut vnow,
-                batch.entries,
-                draining,
-            );
-            let wall_seconds = wall_start.elapsed().as_secs_f64();
-
-            state = lock(&shared.state);
-            let width = state.collector.config().width;
-            if stats.card_completed > 0 {
-                state.report.service.flushes.push(FlushRecord {
-                    reason,
-                    occupancy: stats.card_completed,
-                    width,
-                    queue_depth_after: depth_after,
-                    oldest_wait,
-                    modeled_seconds: stats.card_modeled_s,
-                    wall_seconds,
-                });
-            }
-            let report = &mut state.report;
-            report.faults_seen += stats.faults;
-            report.retries += stats.retries;
-            report.host_fallback_ops += stats.host_completed as u64;
-            report.host_modeled_seconds += stats.host_modeled_s;
-            report.errored_ops += stats.errored as u64;
-            report.verified_ops += stats.verified;
-            report.verify_failures += stats.verify_failures;
-            report.verify_reruns += stats.verify_reruns;
-            report.verify_modeled_seconds += stats.verify_modeled_s;
-            report.lane_quarantines = quarantine.quarantines();
-            report.lane_readmissions = quarantine.readmissions();
-            report.integrity_escalations = quarantine.escalations();
-            report.quarantined_lanes = quarantine.quarantined() as u64;
-            if stats.deadline_cancelled {
-                report.deadline_cancellations += 1;
-            }
-            if stats.degraded {
-                report.degraded_flushes += 1;
-            }
-            report.breaker_trips = breaker.trips();
-            report.breaker_recoveries = breaker.recoveries();
-            report.breaker_state = breaker.state(vnow);
-            report.modeled_virtual_seconds = vnow;
-            if !stats.requeued.is_empty() {
-                report.requeues += stats.requeued.len() as u64;
-                state.collector.requeue_front(stats.requeued);
-            }
-            continue;
-        }
-        if state.shutdown {
-            return;
-        }
-        state = match state.collector.next_deadline() {
-            Some(deadline) => {
-                let timeout = (deadline - shared.now()).max(0.0);
-                shared
-                    .wake
-                    .wait_timeout(state, std::time::Duration::from_secs_f64(timeout))
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0
-            }
-            None => shared.wake.wait(state).unwrap_or_else(|e| e.into_inner()),
-        };
     }
 }
 
@@ -533,13 +270,25 @@ fn resolve_off_card<T, R>(
             Some(host) => {
                 let (r, ops) = count::measure(|| {
                     let _span = phi_trace::span(phi_trace::Scope::HostFallback);
-                    host(&job.payload.payload)
+                    catch_unwind(AssertUnwindSafe(|| host(&job.payload.payload)))
                 });
                 let modeled = cost.single_thread_seconds(&ops);
                 *vnow += modeled;
                 stats.host_modeled_s += modeled;
-                stats.host_completed += 1;
-                let _ = job.payload.reply.send(Ok(r));
+                match r {
+                    Ok(r) => {
+                        stats.host_completed += 1;
+                        let _ = job.payload.reply.send(Ok(r));
+                    }
+                    Err(_) => {
+                        // A lane its card attempt poisoned is counted once.
+                        if error != OffloadError::Poisoned {
+                            stats.poisoned += 1;
+                        }
+                        stats.errored += 1;
+                        let _ = job.payload.reply.send(Err(OffloadError::Poisoned));
+                    }
+                }
             }
             None => {
                 stats.errored += 1;
@@ -556,6 +305,131 @@ fn resolve_off_card<T, R>(
             reg.counter_add("resilient.errors", indices.len() as u64);
         }
     }
+}
+
+/// One measured card pass over `payloads`, priced onto the card's
+/// virtual clock. `None` when the closure panicked or broke the
+/// one-result-per-payload contract: the caller resolves the attempt's
+/// lanes with [`resolve_poisoned`] and the worker lives on.
+fn card_pass<T, R, F>(
+    card_fn: &F,
+    payloads: &[T],
+    scope: phi_trace::Scope,
+    cost: &CostModel,
+    vnow: &mut f64,
+    stats: &mut FlushStats<T, R>,
+) -> Option<Vec<R>>
+where
+    F: Fn(&[T]) -> Vec<R>,
+{
+    let (outcome, ops) = count::measure(|| {
+        let _span = phi_trace::span(scope);
+        catch_unwind(AssertUnwindSafe(|| card_fn(payloads)))
+    });
+    let modeled = cost.single_thread_seconds(&ops);
+    *vnow += modeled;
+    stats.card_modeled_s += modeled;
+    outcome
+        .ok()
+        .filter(|results| results.len() == payloads.len())
+}
+
+/// The payloads of the live entries at `indices`, in order.
+fn payloads_of<T: Clone, R>(entries: &[Option<Pending<RJob<T, R>>>], indices: &[usize]) -> Vec<T> {
+    indices
+        .iter()
+        .map(|&i| {
+            let entry = entries[i].as_ref().expect("pending lane live");
+            entry.payload.payload.clone()
+        })
+        .collect()
+}
+
+/// Breaker open: resolve `indices` off-card as a degraded flush.
+fn degrade<T, R>(
+    entries: &mut [Option<Pending<RJob<T, R>>>],
+    indices: &[usize],
+    host_fn: Option<&(dyn Fn(&T) -> R + Send)>,
+    cost: &CostModel,
+    vnow: &mut f64,
+    stats: &mut FlushStats<T, R>,
+) {
+    stats.degraded = true;
+    if phi_trace::is_enabled() {
+        phi_trace::registry().counter_add("resilient.flush.degraded", 1);
+    }
+    resolve_off_card(
+        entries,
+        indices,
+        host_fn,
+        OffloadError::CardOffline,
+        cost,
+        vnow,
+        stats,
+    );
+}
+
+/// The graded ladder for lanes that failed verification: those inside
+/// their re-run budget are returned for one more card pass; the rest
+/// resolve off-card (host fallback, inside the trust boundary).
+#[allow(clippy::too_many_arguments)]
+fn split_reruns<T, R>(
+    entries: &mut [Option<Pending<RJob<T, R>>>],
+    failed: Vec<usize>,
+    vfails: &[u32],
+    max_reruns: u32,
+    host_fn: Option<&(dyn Fn(&T) -> R + Send)>,
+    cost: &CostModel,
+    vnow: &mut f64,
+    stats: &mut FlushStats<T, R>,
+) -> Vec<usize> {
+    let (rerun, offcard): (Vec<usize>, Vec<usize>) =
+        failed.into_iter().partition(|&i| vfails[i] <= max_reruns);
+    if !offcard.is_empty() {
+        resolve_off_card(
+            entries,
+            &offcard,
+            host_fn,
+            OffloadError::IntegrityFailure {
+                rejections: max_reruns + 1,
+            },
+            cost,
+            vnow,
+            stats,
+        );
+    }
+    if !rerun.is_empty() {
+        stats.verify_reruns += rerun.len() as u64;
+        if phi_trace::is_enabled() {
+            phi_trace::registry().counter_add("verify.rerun", rerun.len() as u64);
+        }
+    }
+    rerun
+}
+
+/// Resolve the lanes of a poisoned card attempt off-card (host fallback
+/// or [`OffloadError::Poisoned`]), counting them as poisoned jobs.
+fn resolve_poisoned<T, R>(
+    entries: &mut [Option<Pending<RJob<T, R>>>],
+    indices: &[usize],
+    host_fn: Option<&(dyn Fn(&T) -> R + Send)>,
+    cost: &CostModel,
+    vnow: &mut f64,
+    stats: &mut FlushStats<T, R>,
+) {
+    stats.poisoned += indices.len() as u64;
+    if phi_trace::is_enabled() {
+        phi_trace::registry().counter_add("service.poisoned_jobs", indices.len() as u64);
+    }
+    resolve_off_card(
+        entries,
+        indices,
+        host_fn,
+        OffloadError::Poisoned,
+        cost,
+        vnow,
+        stats,
+    );
 }
 
 /// Release one card pass's completed lanes through the (optional)
@@ -652,9 +526,7 @@ where
 /// Consumes `entries`; every entry is either resolved through its reply
 /// channel or returned in `FlushStats::requeued`.
 ///
-/// Crate-visible so the fleet scheduler's per-card workers run the
-/// *identical* loop — with `cards = 1` the fleet is bit- and
-/// cycle-identical to [`ResilientService`] by construction.
+/// Every card worker of the fleet scheduler runs this one loop.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_flush<T, R, F>(
     config: &ResilienceConfig,
@@ -682,19 +554,7 @@ where
 
     // Breaker gate: an open breaker sends the whole flush to the host.
     if !breaker.allow(*vnow) {
-        stats.degraded = true;
-        if phi_trace::is_enabled() {
-            phi_trace::registry().counter_add("resilient.flush.degraded", 1);
-        }
-        resolve_off_card(
-            &mut entries,
-            &pending,
-            host_fn,
-            OffloadError::CardOffline,
-            cost,
-            vnow,
-            &mut stats,
-        );
+        degrade(&mut entries, &pending, host_fn, cost, vnow, &mut stats);
         return stats;
     }
 
@@ -754,34 +614,19 @@ where
             None => {
                 // Clean-shaped card attempt over the still-pending lanes
                 // (possibly silently corrupted).
-                let payloads: Vec<T> = pending
-                    .iter()
-                    .map(|&i| {
-                        entries[i]
-                            .as_ref()
-                            .expect("pending lane live")
-                            .payload
-                            .payload
-                            .clone()
-                    })
-                    .collect();
+                let payloads = payloads_of(&entries, &pending);
                 let scope = if attempts == 1 {
                     phi_trace::Scope::ServiceFlush
                 } else {
                     phi_trace::Scope::FlushRetry
                 };
-                let (mut results, ops) = count::measure(|| {
-                    let _span = phi_trace::span(scope);
-                    card_fn(&payloads)
-                });
-                assert_eq!(
-                    results.len(),
-                    payloads.len(),
-                    "card closure must return one result per payload"
-                );
-                let modeled = cost.single_thread_seconds(&ops);
-                *vnow += modeled;
-                stats.card_modeled_s += modeled;
+                let Some(mut results) =
+                    card_pass(card_fn, &payloads, scope, cost, vnow, &mut stats)
+                else {
+                    let done = std::mem::take(&mut pending);
+                    resolve_poisoned(&mut entries, &done, host_fn, cost, vnow, &mut stats);
+                    return stats;
+                };
                 if let (Some(kind), Some(hooks)) = (silent, integrity) {
                     for p in kind.affected_lanes(results.len()) {
                         results[p] = (hooks.corrupt)(&payloads[p], &results[p]);
@@ -805,49 +650,24 @@ where
                     breaker.record_success(*vnow);
                     return stats;
                 }
-                // Graded ladder: failed lanes inside their re-run budget
-                // go around for one more card pass; the rest resolve
-                // off-card (host fallback, inside the trust boundary).
-                let max_reruns = quarantine.config().max_reruns;
-                let (rerun, offcard): (Vec<usize>, Vec<usize>) =
-                    failed.into_iter().partition(|&i| vfails[i] <= max_reruns);
-                if !offcard.is_empty() {
-                    resolve_off_card(
-                        &mut entries,
-                        &offcard,
-                        host_fn,
-                        OffloadError::IntegrityFailure {
-                            rejections: max_reruns + 1,
-                        },
-                        cost,
-                        vnow,
-                        &mut stats,
-                    );
-                }
+                let rerun = split_reruns(
+                    &mut entries,
+                    failed,
+                    &vfails,
+                    quarantine.config().max_reruns,
+                    host_fn,
+                    cost,
+                    vnow,
+                    &mut stats,
+                );
                 if rerun.is_empty() {
                     return stats;
-                }
-                stats.verify_reruns += rerun.len() as u64;
-                if phi_trace::is_enabled() {
-                    phi_trace::registry().counter_add("verify.rerun", rerun.len() as u64);
                 }
                 pending = rerun;
                 // A quarantine escalation may have tripped the breaker:
                 // degrade the re-run set instead of re-trusting the card.
                 if breaker.state(*vnow) == BreakerState::Open {
-                    stats.degraded = true;
-                    if phi_trace::is_enabled() {
-                        phi_trace::registry().counter_add("resilient.flush.degraded", 1);
-                    }
-                    resolve_off_card(
-                        &mut entries,
-                        &pending,
-                        host_fn,
-                        OffloadError::CardOffline,
-                        cost,
-                        vnow,
-                        &mut stats,
-                    );
+                    degrade(&mut entries, &pending, host_fn, cost, vnow, &mut stats);
                     return stats;
                 }
             }
@@ -873,70 +693,58 @@ where
                     let survivors: Vec<usize> = positions.iter().map(|&p| pending[p]).collect();
                     let mut next: Vec<usize> = affected.into_iter().map(|p| pending[p]).collect();
                     if !survivors.is_empty() {
-                        let payloads: Vec<T> = survivors
-                            .iter()
-                            .map(|&i| {
-                                entries[i]
-                                    .as_ref()
-                                    .expect("survivor live")
-                                    .payload
-                                    .payload
-                                    .clone()
-                            })
-                            .collect();
-                        let (results, ops) = count::measure(|| {
-                            let _span = phi_trace::span(phi_trace::Scope::ServiceFlush);
-                            card_fn(&payloads)
-                        });
-                        assert_eq!(results.len(), payloads.len());
-                        let modeled = cost.single_thread_seconds(&ops);
-                        *vnow += modeled;
-                        stats.card_modeled_s += modeled;
-                        let sphys: Vec<usize> = if verifying {
-                            positions.iter().map(|&p| phys[p]).collect()
-                        } else {
-                            Vec::new()
-                        };
-                        let failed = release_lanes(
-                            &mut entries,
-                            &survivors,
-                            &sphys,
-                            results,
-                            integrity,
-                            quarantine,
-                            breaker,
-                            &mut vfails,
+                        let payloads = payloads_of(&entries, &survivors);
+                        match card_pass(
+                            card_fn,
+                            &payloads,
+                            phi_trace::Scope::ServiceFlush,
                             cost,
                             vnow,
                             &mut stats,
-                        );
-                        if !failed.is_empty() {
-                            let max_reruns = quarantine.config().max_reruns;
-                            let (rerun, offcard): (Vec<usize>, Vec<usize>) =
-                                failed.into_iter().partition(|&i| vfails[i] <= max_reruns);
-                            if !offcard.is_empty() {
-                                resolve_off_card(
+                        ) {
+                            None => resolve_poisoned(
+                                &mut entries,
+                                &survivors,
+                                host_fn,
+                                cost,
+                                vnow,
+                                &mut stats,
+                            ),
+                            Some(results) => {
+                                let sphys: Vec<usize> = if verifying {
+                                    positions.iter().map(|&p| phys[p]).collect()
+                                } else {
+                                    Vec::new()
+                                };
+                                let failed = release_lanes(
                                     &mut entries,
-                                    &offcard,
-                                    host_fn,
-                                    OffloadError::IntegrityFailure {
-                                        rejections: max_reruns + 1,
-                                    },
+                                    &survivors,
+                                    &sphys,
+                                    results,
+                                    integrity,
+                                    quarantine,
+                                    breaker,
+                                    &mut vfails,
                                     cost,
                                     vnow,
                                     &mut stats,
                                 );
-                            }
-                            if !rerun.is_empty() {
-                                stats.verify_reruns += rerun.len() as u64;
-                                if phi_trace::is_enabled() {
-                                    phi_trace::registry()
-                                        .counter_add("verify.rerun", rerun.len() as u64);
+                                let rerun = split_reruns(
+                                    &mut entries,
+                                    failed,
+                                    &vfails,
+                                    quarantine.config().max_reruns,
+                                    host_fn,
+                                    cost,
+                                    vnow,
+                                    &mut stats,
+                                );
+                                if !rerun.is_empty() {
+                                    // Failed survivors go around with the
+                                    // poisoned lanes, in lane order.
+                                    next.extend(rerun);
+                                    next.sort_unstable();
                                 }
-                                // Failed survivors go around with the
-                                // poisoned lanes, in lane order.
-                                next.extend(rerun);
-                                next.sort_unstable();
                             }
                         }
                     }
@@ -949,19 +757,7 @@ where
                 // threshold; a faulted probe re-opens too) degrades the
                 // remaining lanes immediately.
                 if breaker.state(*vnow) == BreakerState::Open {
-                    stats.degraded = true;
-                    if phi_trace::is_enabled() {
-                        phi_trace::registry().counter_add("resilient.flush.degraded", 1);
-                    }
-                    resolve_off_card(
-                        &mut entries,
-                        &pending,
-                        host_fn,
-                        OffloadError::CardOffline,
-                        cost,
-                        vnow,
-                        &mut stats,
-                    );
+                    degrade(&mut entries, &pending, host_fn, cost, vnow, &mut stats);
                     return stats;
                 }
                 if attempts > config.backoff.max_retries {
@@ -1025,8 +821,11 @@ where
 
 #[cfg(test)]
 mod tests {
+    //! The flush loop, driven through a one-card fleet.
     use super::*;
+    use crate::fleet::{CardSetup, FleetConfig, FleetScheduler};
     use phi_faults::{FaultInjector, FaultRates, FaultScript};
+    use std::sync::Arc;
 
     fn config(width: usize, max_wait: f64, queue_cap: usize) -> ResilienceConfig {
         ResilienceConfig {
@@ -1043,17 +842,22 @@ mod tests {
         xs.iter().map(|x| x * 2).collect()
     }
 
-    fn host() -> Option<HostFn<u64, u64>> {
-        Some(Box::new(|x: &u64| x * 2))
+    /// A healthy doubling card with a doubling host fallback.
+    fn card() -> CardSetup<u64, u64> {
+        CardSetup::new(doubler).with_host(|x: &u64| x * 2)
+    }
+
+    fn one_card(config: ResilienceConfig, setup: CardSetup<u64, u64>) -> FleetScheduler<u64, u64> {
+        FleetScheduler::new(FleetConfig::default(), config, vec![setup])
     }
 
     #[test]
-    fn clean_card_behaves_like_the_plain_service() {
-        let service = ResilientService::new(config(4, 10.0, 64), doubler, host(), None);
+    fn clean_card_completes_every_lane_on_card() {
+        let service = one_card(config(4, 10.0, 64), card());
         let handles: Vec<_> = (0..8).map(|i| service.submit(i).unwrap()).collect();
         let results: Vec<u64> = handles.into_iter().map(|h| h.wait().unwrap()).collect();
         assert_eq!(results, (0..8).map(|i| i * 2).collect::<Vec<_>>());
-        let report = service.shutdown();
+        let report = service.shutdown().merged();
         assert_eq!(report.service.ops(), 8);
         assert_eq!(report.faults_seen, 0);
         assert_eq!(report.host_fallback_ops, 0);
@@ -1066,12 +870,12 @@ mod tests {
         // the card after a single retry.
         let script: Arc<dyn FaultSource> =
             Arc::new(FaultScript::new(vec![Some(FaultKind::PcieTimeout)]));
-        let service = ResilientService::new(config(4, 10.0, 64), doubler, host(), Some(script));
+        let service = one_card(config(4, 10.0, 64), card().with_faults(script));
         let handles: Vec<_> = (0..4).map(|i| service.submit(i).unwrap()).collect();
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2));
         }
-        let report = service.shutdown();
+        let report = service.shutdown().merged();
         assert_eq!(report.faults_seen, 1);
         assert_eq!(report.retries, 1);
         assert_eq!(report.service.ops(), 4, "all lanes completed on card");
@@ -1086,12 +890,12 @@ mod tests {
             Arc::new(FaultScript::new(vec![Some(FaultKind::EccLaneFault {
                 lane: 2,
             })]));
-        let service = ResilientService::new(config(4, 10.0, 64), doubler, host(), Some(script));
+        let service = one_card(config(4, 10.0, 64), card().with_faults(script));
         let handles: Vec<_> = (0..4).map(|i| service.submit(i).unwrap()).collect();
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2));
         }
-        let report = service.shutdown();
+        let report = service.shutdown().merged();
         assert_eq!(report.faults_seen, 1);
         assert_eq!(report.service.ops(), 4);
         // Two card passes happened (3 survivors + 1 retried lane), but
@@ -1107,12 +911,12 @@ mod tests {
         let script: Arc<dyn FaultSource> = Arc::new(FaultScript::repeat(FaultKind::CardReset, 64));
         let mut cfg = config(4, 10.0, 64);
         cfg.breaker.cooldown_s = 1e9; // never recovers inside the test
-        let service = ResilientService::new(cfg, doubler, host(), Some(script));
+        let service = one_card(cfg, card().with_faults(script));
         let handles: Vec<_> = (0..8).map(|i| service.submit(i).unwrap()).collect();
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2), "host fallback is correct");
         }
-        let report = service.shutdown();
+        let report = service.shutdown().merged();
         assert_eq!(report.breaker_trips, 1);
         assert_eq!(report.breaker_state, BreakerState::Open);
         assert_eq!(report.host_fallback_ops, 8);
@@ -1130,11 +934,11 @@ mod tests {
         let mut cfg = config(1, 10.0, 64);
         cfg.breaker.cooldown_s = 0.0;
         cfg.breaker.probe_successes = 2;
-        let service = ResilientService::new(cfg, doubler, host(), Some(script));
+        let service = one_card(cfg, card().with_faults(script));
         for i in 0..4u64 {
-            assert_eq!(service.call(i).unwrap(), Ok(i * 2));
+            assert_eq!(service.call_keyed(None, i).unwrap(), Ok(i * 2));
         }
-        let report = service.shutdown();
+        let report = service.shutdown().merged();
         assert_eq!(report.breaker_trips, 1);
         assert_eq!(report.breaker_recoveries, 1);
         assert_eq!(report.breaker_state, BreakerState::Closed);
@@ -1149,8 +953,7 @@ mod tests {
             Arc::new(FaultScript::repeat(FaultKind::PcieTimeout, 64));
         let mut cfg = config(2, 10.0, 64);
         cfg.breaker.trip_threshold = u32::MAX; // isolate the retry-exhaustion path
-        let service: ResilientService<u64, u64> =
-            ResilientService::new(cfg, doubler, None, Some(script));
+        let service = one_card(cfg, CardSetup::new(doubler).with_faults(script));
         let a = service.submit(1).unwrap();
         let b = service.submit(2).unwrap();
         match a.wait() {
@@ -1161,7 +964,7 @@ mod tests {
             other => panic!("expected Faulted, got {other:?}"),
         }
         assert!(b.wait().is_err());
-        let report = service.shutdown();
+        let report = service.shutdown().merged();
         assert_eq!(report.errored_ops, 2);
         assert_eq!(report.resolved_ops(), 2);
     }
@@ -1175,12 +978,12 @@ mod tests {
             Arc::new(FaultInjector::new(0xfa117, FaultRates::uniform(0.3)));
         let mut cfg = config(4, 1e-3, 256);
         cfg.breaker.cooldown_s = 0.0;
-        let service = ResilientService::new(cfg, doubler, host(), Some(inj));
+        let service = one_card(cfg, card().with_faults(inj));
         let handles: Vec<_> = (0..200).map(|i| service.submit(i).unwrap()).collect();
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2), "request {i}");
         }
-        let report = service.shutdown();
+        let report = service.shutdown().merged();
         assert_eq!(report.resolved_ops(), 200);
         assert_eq!(report.errored_ops, 0, "host fallback absorbs all faults");
         assert!(report.faults_seen > 0, "a 30% schedule must fault");
@@ -1200,25 +1003,13 @@ mod tests {
         ));
         let mut cfg = config(16, 3600.0, 64);
         cfg.breaker.cooldown_s = 0.0;
-        let service = ResilientService::new(cfg, doubler, host(), Some(inj));
+        let service = one_card(cfg, card().with_faults(inj));
         let handles: Vec<_> = (0..32).map(|i| service.submit(i).unwrap()).collect();
-        let report = service.shutdown();
+        let report = service.shutdown().merged();
         assert_eq!(report.resolved_ops(), 32);
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2));
         }
-    }
-
-    #[test]
-    fn submit_after_shutdown_flag_is_rejected() {
-        let service = ResilientService::new(config(4, 10.0, 64), doubler, host(), None);
-        lock(&service.shared.state).shutdown = true;
-        assert_eq!(
-            service.submit(1).map(|_| ()),
-            Err(SubmitError::ServiceShutdown)
-        );
-        // Clear the flag so Drop's stop_worker path joins cleanly.
-        lock(&service.shared.state).shutdown = false;
     }
 
     #[test]
@@ -1237,10 +1028,10 @@ mod tests {
         cfg.flush_deadline_s = 1e-9; // any fault penalty blows it
         cfg.max_requeues = 2;
         cfg.breaker.trip_threshold = u32::MAX; // isolate the deadline path
-        let service = ResilientService::new(cfg, doubler, host(), Some(inj));
+        let service = one_card(cfg, card().with_faults(inj));
         let h = service.submit(21).unwrap();
         assert_eq!(h.wait(), Ok(42));
-        let report = service.shutdown();
+        let report = service.shutdown().merged();
         assert!(report.deadline_cancellations >= 1);
         assert_eq!(report.requeues, 2, "requeued to the cap, then forced");
         assert_eq!(report.host_fallback_ops, 1);
@@ -1257,8 +1048,10 @@ mod tests {
     fn verified_service(
         cfg: ResilienceConfig,
         faults: Option<Arc<dyn FaultSource>>,
-    ) -> ResilientService<u64, u64> {
-        ResilientService::with_integrity(cfg, doubler, host(), faults, Some(doubler_hooks()))
+    ) -> FleetScheduler<u64, u64> {
+        let mut setup = card().with_integrity(doubler_hooks());
+        setup.faults = faults;
+        one_card(cfg, setup)
     }
 
     #[test]
@@ -1268,7 +1061,7 @@ mod tests {
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2));
         }
-        let report = service.shutdown();
+        let report = service.shutdown().merged();
         assert_eq!(report.verified_ops, 8, "every released result was checked");
         assert_eq!(report.verify_failures, 0, "honest results never rejected");
         assert_eq!(report.verify_reruns, 0);
@@ -1293,7 +1086,7 @@ mod tests {
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2), "no corrupted result escapes");
         }
-        let report = service.shutdown();
+        let report = service.shutdown().merged();
         assert_eq!(report.faults_seen, 0, "silent faults are unobservable");
         assert_eq!(report.retries, 0, "verify re-runs are not backoff retries");
         assert_eq!(report.verify_failures, 1);
@@ -1312,7 +1105,7 @@ mod tests {
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2));
         }
-        let report = service.shutdown();
+        let report = service.shutdown().merged();
         assert_eq!(report.verify_failures, 4);
         assert_eq!(report.verify_reruns, 4);
         assert_eq!(report.host_fallback_ops, 0);
@@ -1327,17 +1120,16 @@ mod tests {
             Arc::new(FaultScript::new(vec![Some(FaultKind::SilentLaneFlip {
                 lane: 1,
             })]));
-        let service = ResilientService::with_integrity(
+        let service = one_card(
             config(4, 10.0, 64),
-            doubler,
-            host(),
-            Some(script),
-            Some(IntegrityHooks::corrupt_only(|_, r| r + 1)),
+            card()
+                .with_faults(script)
+                .with_integrity(IntegrityHooks::corrupt_only(|_, r| r + 1)),
         );
         let handles: Vec<_> = (0..4).map(|i| service.submit(i).unwrap()).collect();
         let results: Vec<u64> = handles.into_iter().map(|h| h.wait().unwrap()).collect();
         assert_eq!(results, vec![0, 3, 4, 6], "lane 1 leaked 2*1 + 1");
-        let report = service.shutdown();
+        let report = service.shutdown().merged();
         assert_eq!(report.verified_ops, 0, "nothing was checked");
         assert_eq!(report.verify_failures, 0);
     }
@@ -1364,13 +1156,13 @@ mod tests {
                     "every result correct, wherever it resolved"
                 );
             }
-            if service.report().quarantined_lanes > 0 {
+            if service.report().merged().quarantined_lanes > 0 {
                 quarantined = true;
                 break;
             }
         }
         assert!(quarantined, "repeat verify failures must quarantine a lane");
-        let report = service.shutdown();
+        let report = service.shutdown().merged();
         assert!(report.verify_failures >= 2);
         assert!(report.host_fallback_ops >= 1, "re-run budget exhausted");
         assert!(report.lane_quarantines >= 1);
@@ -1381,17 +1173,16 @@ mod tests {
     fn verify_failure_without_host_is_a_typed_error() {
         let script: Arc<dyn FaultSource> =
             Arc::new(FaultScript::repeat(FaultKind::SilentBatchCorruption, 64));
-        let service = ResilientService::with_integrity(
+        let service = one_card(
             config(2, 1e-3, 64),
-            doubler,
-            None,
-            Some(script),
-            Some(doubler_hooks()),
+            CardSetup::new(doubler)
+                .with_faults(script)
+                .with_integrity(doubler_hooks()),
         );
         let h = service.submit(5).unwrap();
         let err = h.wait().unwrap_err();
         assert_eq!(err, OffloadError::IntegrityFailure { rejections: 2 });
-        let report = service.shutdown();
+        let report = service.shutdown().merged();
         assert_eq!(report.errored_ops, 1);
         assert_eq!(report.verify_failures, 2, "initial attempt + one re-run");
     }
@@ -1410,7 +1201,7 @@ mod tests {
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), Ok(i as u64 * 2));
         }
-        let report = service.shutdown();
+        let report = service.shutdown().merged();
         assert_eq!(report.faults_seen, 1, "the ECC fault");
         assert_eq!(report.verify_failures, 1, "the silent flip on the retry");
         // 3 survivors + the retried lane twice (flip, then clean re-run).
@@ -1420,18 +1211,20 @@ mod tests {
 
     #[test]
     fn verified_mode_is_cycle_identical_when_absent() {
-        // A service without hooks and one with `None` hooks must produce
-        // identical virtual clocks — verification must cost nothing when
-        // off (the existing cards=1 fleet identity tests depend on it).
+        // A card without hooks and one with corrupt-only hooks (no verify
+        // check) must produce identical virtual clocks: verification must
+        // cost nothing when off.
         let run = |hooks: Option<IntegrityHooks<u64, u64>>| {
-            let service =
-                ResilientService::with_integrity(config(4, 10.0, 64), doubler, host(), None, hooks);
+            let mut setup = card();
+            setup.integrity = hooks;
+            let service = one_card(config(4, 10.0, 64), setup);
             let handles: Vec<_> = (0..8).map(|i| service.submit(i).unwrap()).collect();
             handles.into_iter().for_each(|h| {
                 h.wait().unwrap();
             });
-            service.shutdown().modeled_virtual_seconds
+            service.shutdown().merged().modeled_virtual_seconds
         };
-        assert_eq!(run(None), run(None));
+        let corrupt_only = IntegrityHooks::corrupt_only(|_, r: &u64| r + 1);
+        assert_eq!(run(None), run(Some(corrupt_only)));
     }
 }

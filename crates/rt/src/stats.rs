@@ -1,5 +1,5 @@
-//! Per-flush accounting the batch service layer folds its telemetry
-//! into, plus re-exports of the sample statistics that moved to
+//! Per-flush accounting the offload service folds its telemetry into,
+//! plus re-exports of the sample statistics that moved to
 //! [`phi_trace::stats`] (kept here so `phi_rt::stats::Summary` callers
 //! keep compiling).
 
@@ -41,9 +41,11 @@ pub struct ServiceReport {
     pub flushes: Vec<FlushRecord>,
     /// Submissions bounced for backpressure (queue at high-water mark).
     pub rejected: u64,
-    /// Requests whose batch was poisoned by a panicking batch closure:
-    /// their tickets were dropped (waiters see `ServiceShutdown`) and no
-    /// flush record exists for them.
+    /// Requests on a card attempt whose batch closure panicked (or
+    /// returned the wrong number of results). They resolved off-card, on
+    /// the host fallback or with `OffloadError::Poisoned`, so they also
+    /// count in the host or error ledger; no flush record exists for
+    /// them.
     pub poisoned_jobs: u64,
 }
 

@@ -13,8 +13,10 @@
 //! * [`handshake`] — client and server state machines: RSA-encrypted
 //!   premaster secret, TLS 1.2 PRF master-secret derivation, transcript
 //!   hashing and Finished verification,
-//! * [`driver`] — in-memory connection driver and the multi-threaded
-//!   handshake-throughput benchmark used by experiment E9.
+//! * [`driver`] — in-memory connection driver, the multi-threaded
+//!   handshake-throughput benchmark used by experiment E9, and
+//!   [`drive_concurrent`], which serves every server private operation
+//!   from one shared batch service on the offload fleet.
 //!
 //! * [`aes`] / [`cipher`] — AES-128/256 (FIPS 197) and the TLS 1.2
 //!   CBC+HMAC record protection, so established connections can exchange
@@ -37,10 +39,7 @@ pub mod session;
 
 pub use alert::{Alert, AlertDescription, AlertLevel};
 pub use cipher::{ConnectionKeys, RecordCipher};
-pub use driver::{
-    drive_concurrent_batched, drive_concurrent_batched_with_config, drive_concurrent_fleet,
-    drive_concurrent_resilient, drive_handshake, handshake_throughput, HandshakeOutcome,
-};
+pub use driver::{drive_concurrent, drive_handshake, handshake_throughput, HandshakeOutcome};
 pub use error::SslError;
 pub use handshake::{Client, Server};
 pub use session::{Session, SessionCache};

@@ -16,8 +16,10 @@ use phiopenssl_suite::faults::{
 use phiopenssl_suite::rsa::key::RsaPrivateKey;
 use phiopenssl_suite::rsa::{RsaBatchService, RsaOps};
 use phiopenssl_suite::rt::service::ServiceConfig;
-use phiopenssl_suite::rt::{AffinityPolicy, OffloadError, ResilienceConfig, ResilientService};
-use phiopenssl_suite::ssl::drive_concurrent_resilient;
+use phiopenssl_suite::rt::{
+    AffinityPolicy, CardSetup, FleetScheduler, OffloadError, ResilienceConfig,
+};
+use phiopenssl_suite::ssl::drive_concurrent;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -42,6 +44,25 @@ fn chaos_seed(default: u64) -> u64 {
         .unwrap_or(default);
     eprintln!("chaos seed: {seed} (replay with CHAOS_SEED={seed})");
     seed
+}
+
+/// A one-card service for `key`, its card faulting on `faults`.
+fn one_card(
+    key: &RsaPrivateKey,
+    config: ResilienceConfig,
+    faults: Option<Arc<dyn FaultSource>>,
+) -> RsaBatchService {
+    RsaBatchService::new_fleet(key, &PhiConfig::default(), config, vec![faults]).unwrap()
+}
+
+/// A one-card service that verifies every card result before release.
+fn verified_card(
+    key: &RsaPrivateKey,
+    config: ResilienceConfig,
+    faults: Option<Arc<dyn FaultSource>>,
+) -> RsaBatchService {
+    let phi = PhiConfig::builder().verified().build();
+    RsaBatchService::new_fleet(key, &phi, config, vec![faults]).unwrap()
 }
 
 fn quick_config() -> ResilienceConfig {
@@ -80,14 +101,14 @@ fn card_reset_mid_batch_trips_breaker_then_recovers() {
         },
         ..quick_config()
     };
-    let service = RsaBatchService::new_resilient(&key, config, Some(script)).unwrap();
+    let service = one_card(&key, config, Some(script));
     let ops = RsaOps::new(Box::new(MpssBaseline));
     for i in 1u64..=5 {
         let m = phiopenssl_suite::bigint::BigUint::from(i * 1_000_003);
         let c = ops.public_op(key.public(), &m).unwrap();
         assert_eq!(service.call(c).unwrap(), m, "request {i} answered wrong");
     }
-    let report = service.shutdown_resilient();
+    let report = service.shutdown().merged();
     assert_eq!(report.errored_ops, 0, "fallback leaves no errors");
     assert_eq!(report.resolved_ops(), 5, "every request resolved");
     assert!(
@@ -120,14 +141,14 @@ fn open_breaker_degrades_whole_batches_to_host() {
         },
         ..quick_config()
     };
-    let service = RsaBatchService::new_resilient(&key, config, Some(script)).unwrap();
+    let service = one_card(&key, config, Some(script));
     let ops = RsaOps::new(Box::new(MpssBaseline));
     for i in 1u64..=6 {
         let m = phiopenssl_suite::bigint::BigUint::from(i * 31_337);
         let c = ops.public_op(key.public(), &m).unwrap();
         assert_eq!(service.call(c).unwrap(), m);
     }
-    let report = service.shutdown_resilient();
+    let report = service.shutdown().merged();
     assert_eq!(report.errored_ops, 0);
     assert_eq!(report.resolved_ops(), 6);
     assert_eq!(report.breaker_state, BreakerState::Open);
@@ -144,8 +165,7 @@ fn randomized_fault_schedule_resolves_every_request_exactly_once() {
     let key = test_key();
     let faults: Arc<dyn FaultSource> =
         Arc::new(FaultInjector::new(seed, FaultRates::uniform(0.25)));
-    let service =
-        Arc::new(RsaBatchService::new_resilient(&key, quick_config(), Some(faults)).unwrap());
+    let service = Arc::new(one_card(&key, quick_config(), Some(faults)));
     const THREADS: u64 = 4;
     const PER_THREAD: u64 = 10;
     let workers: Vec<_> = (0..THREADS)
@@ -170,7 +190,8 @@ fn randomized_fault_schedule_resolves_every_request_exactly_once() {
     }
     let report = Arc::try_unwrap(service)
         .unwrap_or_else(|_| panic!("service still shared"))
-        .shutdown_resilient();
+        .shutdown()
+        .merged();
     assert_eq!(
         report.resolved_ops(),
         THREADS * PER_THREAD,
@@ -190,16 +211,18 @@ fn handshakes_survive_card_chaos_end_to_end() {
     let seed = chaos_seed(0xD00_C8A0);
     let key = RsaPrivateKey::generate(&mut StdRng::seed_from_u64(0x55C8), 512).unwrap();
     let faults: Arc<dyn FaultSource> = Arc::new(FaultInjector::new(seed, FaultRates::uniform(0.4)));
-    let (ok, _pool, report) = drive_concurrent_resilient(
+    let (ok, _pool, report) = drive_concurrent(
         &key,
         || RsaOps::new(Box::new(MpssBaseline)),
         8,
         4,
         AffinityPolicy::Compact,
+        &PhiConfig::default(),
         quick_config(),
-        Some(faults),
+        vec![Some(faults)],
     )
     .unwrap();
+    let report = report.merged();
     assert_eq!(ok, 8, "seed {seed}: a handshake failed under chaos");
     assert_eq!(report.errored_ops, 0, "seed {seed}");
     assert_eq!(report.resolved_ops(), 8, "seed {seed}");
@@ -213,9 +236,9 @@ fn handshakes_survive_card_chaos_end_to_end() {
 fn host_fallback_answers_are_bit_identical_to_the_card_path() {
     let seed = chaos_seed(0xB17_1DE4);
     let key = test_key();
-    let card = RsaBatchService::new_resilient(&key, quick_config(), None).unwrap();
+    let card = one_card(&key, quick_config(), None);
     let faults: Arc<dyn FaultSource> = Arc::new(FaultInjector::new(seed, FaultRates::uniform(1.0)));
-    let host = RsaBatchService::new_resilient(&key, quick_config(), Some(faults)).unwrap();
+    let host = one_card(&key, quick_config(), Some(faults));
     let ops = RsaOps::new(Box::new(MpssBaseline));
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0FF_10AD);
     for i in 0..24u64 {
@@ -228,8 +251,8 @@ fn host_fallback_answers_are_bit_identical_to_the_card_path() {
         assert_eq!(via_card, via_oracle, "seed {seed}: request {i} vs oracle");
         assert_eq!(via_card, m, "seed {seed}: request {i} wrong plaintext");
     }
-    let card_report = card.shutdown_resilient();
-    let host_report = host.shutdown_resilient();
+    let card_report = card.shutdown().merged();
+    let host_report = host.shutdown().merged();
     assert_eq!(
         card_report.host_fallback_ops, 0,
         "healthy card never falls back"
@@ -295,7 +318,7 @@ fn fleet_correlated_card_resets_resolve_every_request_exactly_once() {
     }
     let report = Arc::try_unwrap(service)
         .unwrap_or_else(|_| panic!("service still shared"))
-        .shutdown_fleet();
+        .shutdown();
     assert_eq!(report.cards.len(), CARDS);
     assert_eq!(
         report.resolved_ops(),
@@ -310,90 +333,6 @@ fn fleet_correlated_card_resets_resolve_every_request_exactly_once() {
     assert!(
         report.merged().faults_seen >= 1,
         "seed {seed}: the reset burst must have fired"
-    );
-}
-
-/// The fleet's blessed-config identity claim, checked to the bit *and*
-/// the modeled cycle: a one-card fleet fed deterministic full-width
-/// batches — including a scripted whole-card reset — produces the same
-/// plaintexts and the same `modeled_virtual_seconds` as the single-card
-/// resilient service under the identical fault script.
-#[test]
-fn single_card_fleet_is_bit_and_cycle_identical_to_resilient() {
-    let key = test_key();
-    // Full-width batches with an effectively-infinite collection window
-    // make the flush composition deterministic on both stacks: each
-    // round of 4 submissions is exactly one occupancy-4 flush.
-    let config = ResilienceConfig {
-        service: ServiceConfig {
-            width: 4,
-            max_wait: 10.0,
-            queue_cap: 64,
-        },
-        breaker: BreakerConfig {
-            trip_threshold: 3,
-            cooldown_s: 0.0,
-            probe_successes: 1,
-        },
-        ..ResilienceConfig::default()
-    };
-    let schedule = || {
-        FaultScript::new(vec![
-            None,
-            Some(FaultKind::CardReset),
-            None,
-            None,
-            None,
-            None,
-        ])
-    };
-    let resilient = RsaBatchService::new_resilient(
-        &key,
-        config,
-        Some(Arc::new(schedule()) as Arc<dyn FaultSource>),
-    )
-    .unwrap();
-    let fleet = RsaBatchService::new_fleet(
-        &key,
-        &PhiConfig::default(), // cards = 1: the identity shape
-        config,
-        vec![Some(Arc::new(schedule()) as Arc<dyn FaultSource>)],
-    )
-    .unwrap();
-    let ops = RsaOps::new(Box::new(MpssBaseline));
-    for round in 0..3u64 {
-        let batch: Vec<_> = (0..4u64)
-            .map(|lane| {
-                let m = phiopenssl_suite::bigint::BigUint::from(round * 1_000_003 + lane + 1);
-                let c = ops.public_op(key.public(), &m).unwrap();
-                (m, c)
-            })
-            .collect();
-        let via_resilient: Vec<_> = batch
-            .iter()
-            .map(|(_, c)| resilient.submit(c.clone()).unwrap())
-            .collect();
-        let via_fleet: Vec<_> = batch
-            .iter()
-            .map(|(_, c)| fleet.submit(c.clone()).unwrap())
-            .collect();
-        for (((m, _), r), f) in batch.iter().zip(via_resilient).zip(via_fleet) {
-            let r = r.wait().unwrap();
-            let f = f.wait().unwrap();
-            assert_eq!(r, f, "round {round}: paths split");
-            assert_eq!(&r, m, "round {round}: wrong plaintext");
-        }
-    }
-    let base = resilient.shutdown_resilient();
-    let one_card = fleet.shutdown_resilient();
-    assert_eq!(one_card.service.ops(), base.service.ops());
-    assert_eq!(one_card.faults_seen, base.faults_seen);
-    assert_eq!(one_card.host_fallback_ops, base.host_fallback_ops);
-    assert_eq!(one_card.breaker_trips, base.breaker_trips);
-    assert_eq!(one_card.errored_ops, 0);
-    assert_eq!(
-        one_card.modeled_virtual_seconds, base.modeled_virtual_seconds,
-        "cards = 1 must be cycle-identical, not just bit-identical"
     );
 }
 
@@ -417,8 +356,7 @@ fn silent_fault_sweep_releases_zero_corrupted_results() {
         } else {
             None
         };
-        let service =
-            Arc::new(RsaBatchService::new_verified(&key, quick_config(), faults).unwrap());
+        let service = Arc::new(verified_card(&key, quick_config(), faults));
         const THREADS: u64 = 4;
         const PER_THREAD: u64 = 8;
         let workers: Vec<_> = (0..THREADS)
@@ -445,7 +383,8 @@ fn silent_fault_sweep_releases_zero_corrupted_results() {
         }
         let report = Arc::try_unwrap(service)
             .unwrap_or_else(|_| panic!("service still shared"))
-            .shutdown_resilient();
+            .shutdown()
+            .merged();
         assert_eq!(
             report.resolved_ops(),
             THREADS * PER_THREAD,
@@ -476,8 +415,7 @@ fn mixed_detected_and_silent_chaos_conserves_every_request() {
     rates.silent_lane = 0.15;
     rates.silent_batch = 0.05;
     let faults: Arc<dyn FaultSource> = Arc::new(FaultInjector::new(seed, rates));
-    let service =
-        Arc::new(RsaBatchService::new_verified(&key, quick_config(), Some(faults)).unwrap());
+    let service = Arc::new(verified_card(&key, quick_config(), Some(faults)));
     const THREADS: u64 = 4;
     const PER_THREAD: u64 = 10;
     let workers: Vec<_> = (0..THREADS)
@@ -502,7 +440,8 @@ fn mixed_detected_and_silent_chaos_conserves_every_request() {
     }
     let report = Arc::try_unwrap(service)
         .unwrap_or_else(|_| panic!("service still shared"))
-        .shutdown_resilient();
+        .shutdown()
+        .merged();
     assert_eq!(
         report.resolved_ops(),
         THREADS * PER_THREAD,
@@ -521,7 +460,7 @@ fn silent_fault_chaos_replays_bit_for_bit() {
     let seed = chaos_seed(0x2E7_A11);
     let key = test_key();
     // Full-width batches with a huge collection window make the flush
-    // composition deterministic (same shape as the fleet identity test).
+    // composition deterministic.
     let config = ResilienceConfig {
         service: ServiceConfig {
             width: 4,
@@ -533,7 +472,7 @@ fn silent_fault_chaos_replays_bit_for_bit() {
     let run = || {
         let faults: Arc<dyn FaultSource> =
             Arc::new(FaultInjector::new(seed, FaultRates::silent(0.5)));
-        let service = RsaBatchService::new_verified(&key, config, Some(faults)).unwrap();
+        let service = verified_card(&key, config, Some(faults));
         let ops = RsaOps::new(Box::new(MpssBaseline));
         for round in 0..4u64 {
             let batch: Vec<_> = (0..4u64)
@@ -551,7 +490,7 @@ fn silent_fault_chaos_replays_bit_for_bit() {
                 assert_eq!(&t.wait().unwrap(), m, "seed {seed}: round {round}");
             }
         }
-        service.shutdown_resilient()
+        service.shutdown().merged()
     };
     let a = run();
     let b = run();
@@ -585,12 +524,8 @@ fn faulted_card_without_fallback_errors_rather_than_hangs() {
     };
     let script: Arc<dyn FaultSource> =
         Arc::new(FaultScript::repeat(FaultKind::PcieTimeout, 10_000));
-    let service: ResilientService<u64, u64> = ResilientService::new(
-        config,
-        |xs: &[u64]| xs.iter().map(|x| x + 1).collect(),
-        None,
-        Some(script),
-    );
+    let card = CardSetup::new(|xs: &[u64]| xs.iter().map(|x| x + 1).collect()).with_faults(script);
+    let service = FleetScheduler::new(FleetConfig::default(), config, vec![card]);
     let handles: Vec<_> = (0..12u64)
         .map(|i| service.submit(i).expect("queue has room"))
         .collect();
@@ -605,7 +540,7 @@ fn faulted_card_without_fallback_errors_rather_than_hangs() {
             Err(other) => panic!("unexpected error class: {other}"),
         }
     }
-    let report = service.shutdown();
+    let report = service.shutdown().merged();
     assert_eq!(report.errored_ops, 12, "all twelve requests errored");
     assert_eq!(report.resolved_ops(), 12, "…and none were lost");
 }

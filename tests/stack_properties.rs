@@ -8,7 +8,7 @@ use phi_rsa::key::RsaPrivateKey;
 use phi_rsa::{RsaBatchService, RsaOps};
 use phi_rt::service::ServiceConfig;
 use phi_rt::ResilienceConfig;
-use phiopenssl::PhiLibrary;
+use phiopenssl::{PhiConfig, PhiLibrary};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,6 +17,11 @@ use std::sync::Arc;
 /// A small cache of keys so proptest cases don't regenerate them.
 fn key_for(seed: u8) -> RsaPrivateKey {
     RsaPrivateKey::generate(&mut StdRng::seed_from_u64(1000 + seed as u64 % 4), 256).unwrap()
+}
+
+/// One card with verify-on-release.
+fn verified() -> PhiConfig {
+    PhiConfig::builder().verified().build()
 }
 
 proptest! {
@@ -128,7 +133,7 @@ proptest! {
             service: ServiceConfig { width: 16, max_wait: 10.0, queue_cap: 64 },
             ..ResilienceConfig::default()
         };
-        let service = RsaBatchService::new_verified(&key, config, None).unwrap();
+        let service = RsaBatchService::new_fleet(&key, &verified(), config, Vec::new()).unwrap();
         let ops = RsaOps::new(Box::new(MpssBaseline));
         let batch: Vec<_> = (0..occupancy as u64)
             .map(|i| {
@@ -144,7 +149,7 @@ proptest! {
         for ((m, _), t) in batch.iter().zip(tickets) {
             prop_assert_eq!(&t.wait().unwrap(), m);
         }
-        let report = service.shutdown_resilient();
+        let report = service.shutdown().merged();
         prop_assert_eq!(report.verified_ops, occupancy as u64);
         prop_assert_eq!(report.verify_failures, 0);
         prop_assert_eq!(report.host_fallback_ops, 0);
@@ -169,7 +174,8 @@ proptest! {
             service: ServiceConfig { width: 4, max_wait: 10.0, queue_cap: 64 },
             ..ResilienceConfig::default()
         };
-        let service = RsaBatchService::new_verified(&key, config, Some(script)).unwrap();
+        let service =
+            RsaBatchService::new_fleet(&key, &verified(), config, vec![Some(script)]).unwrap();
         let ops = RsaOps::new(Box::new(MpssBaseline));
         let batch: Vec<_> = (0..occupancy as u64)
             .map(|i| {
@@ -185,7 +191,7 @@ proptest! {
         for ((m, _), t) in batch.iter().zip(tickets) {
             prop_assert_eq!(&t.wait().unwrap(), m, "lane {} occupancy {}", lane, occupancy);
         }
-        let report = service.shutdown_resilient();
+        let report = service.shutdown().merged();
         prop_assert!(
             report.verify_failures > 0,
             "flip on lane {} at occupancy {} escaped", lane, occupancy
