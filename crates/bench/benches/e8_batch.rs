@@ -4,7 +4,7 @@ mod common;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use phi_bench::workload;
-use phiopenssl::batch::{Batch16, BatchMont, BATCH_WIDTH};
+use phiopenssl::batch::{BatchMont, BATCH_WIDTH};
 use phiopenssl::VMontCtx;
 use std::hint::black_box;
 
@@ -15,14 +15,16 @@ fn bench(c: &mut Criterion) {
         let n = workload::modulus(bits);
         let ctx = VMontCtx::new(&n).unwrap();
         let bm = BatchMont::new(&ctx);
-        let avs: Vec<_> = (0..BATCH_WIDTH as u64)
-            .map(|i| ctx.to_vec_form(&(&workload::operand(bits, 10 + i) % &n)))
+        let kernel = bm.kernel();
+        let a: Vec<_> = (0..BATCH_WIDTH as u64)
+            .map(|i| &workload::operand(bits, 10 + i) % &n)
             .collect();
-        let bvs: Vec<_> = (0..BATCH_WIDTH as u64)
-            .map(|i| ctx.to_vec_form(&(&workload::operand(bits, 30 + i) % &n)))
+        let b: Vec<_> = (0..BATCH_WIDTH as u64)
+            .map(|i| &workload::operand(bits, 30 + i) % &n)
             .collect();
-        let ab = Batch16::transpose_from(&avs);
-        let bb = Batch16::transpose_from(&bvs);
+        let avs: Vec<_> = a.iter().map(|v| ctx.to_vec_form(v)).collect();
+        let bvs: Vec<_> = b.iter().map(|v| ctx.to_vec_form(v)).collect();
+        let (ab, bb) = (kernel.to_batch(&a), kernel.to_batch(&b));
 
         g.bench_with_input(BenchmarkId::new("singles_x16", bits), &bits, |bench, _| {
             bench.iter(|| {
@@ -32,7 +34,7 @@ fn bench(c: &mut Criterion) {
             })
         });
         g.bench_with_input(BenchmarkId::new("batch16", bits), &bits, |bench, _| {
-            bench.iter(|| bm.mont_mul_16(black_box(&ab), black_box(&bb)))
+            bench.iter(|| kernel.mont_mul_16(black_box(&ab), black_box(&bb)))
         });
     }
     g.finish();

@@ -16,7 +16,7 @@ use phi_rsa::{RsaBatchService, RsaOps};
 use phi_rt::service::{Collector, FlushReason, ServiceConfig};
 use phi_rt::{FleetConfig, FleetRouter, ResilienceConfig, RoutingPolicy};
 use phi_simd::CostModel;
-use phiopenssl::batch::{Batch16, BatchMont, BATCH_WIDTH};
+use phiopenssl::batch::{BatchMont, BATCH_WIDTH};
 use phiopenssl::vexp::{mod_exp_vec, TableLookup};
 use phiopenssl::{BatchCrtEngine, PhiLibrary, VMontCtx};
 use rand::rngs::StdRng;
@@ -319,22 +319,25 @@ pub fn e8_batch(sizes: &[u32]) -> Table {
         let n = workload::modulus(bits);
         let ctx = VMontCtx::new(&n).unwrap();
         let bm = BatchMont::new(&ctx);
-        let avs: Vec<_> = (0..BATCH_WIDTH as u64)
-            .map(|i| ctx.to_vec_form(&(&workload::operand(bits, 10 + i) % &n)))
+        let kernel = bm.kernel();
+        let a: Vec<_> = (0..BATCH_WIDTH as u64)
+            .map(|i| &workload::operand(bits, 10 + i) % &n)
             .collect();
-        let bvs: Vec<_> = (0..BATCH_WIDTH as u64)
-            .map(|i| ctx.to_vec_form(&(&workload::operand(bits, 30 + i) % &n)))
+        let b: Vec<_> = (0..BATCH_WIDTH as u64)
+            .map(|i| &workload::operand(bits, 30 + i) % &n)
             .collect();
-        let ab = Batch16::transpose_from(&avs);
-        let bb = Batch16::transpose_from(&bvs);
+        let avs: Vec<_> = a.iter().map(|v| ctx.to_vec_form(v)).collect();
+        let bvs: Vec<_> = b.iter().map(|v| ctx.to_vec_form(v)).collect();
+        let (ab, bb) = (kernel.to_batch(&a), kernel.to_batch(&b));
 
         let (singles_out, singles) = modeled(|| {
             (0..BATCH_WIDTH)
                 .map(|j| ctx.mont_mul_vec(&avs[j], &bvs[j]))
                 .collect::<Vec<_>>()
         });
-        let (batch_out, batch) = modeled(|| bm.mont_mul_16(&ab, &bb));
-        assert_eq!(batch_out.transpose_out(), singles_out, "batch mismatch");
+        let (batch_out, batch) = modeled(|| kernel.mont_mul_16(&ab, &bb));
+        let singles_out: Vec<_> = singles_out.iter().map(|v| v.to_biguint()).collect();
+        assert_eq!(kernel.from_batch(&batch_out), singles_out, "batch mismatch");
 
         t.row(vec![
             bits.to_string(),
@@ -866,7 +869,7 @@ pub fn e15_fault_resilience(key_bits: u32, rates: &[f64], ops: usize) -> Table {
 /// native AVX-512/AVX2 backend, checked bit-for-bit and compared on host
 /// wall-clock. The modeled channel only prices the modeled backend; the
 /// native column is real host time, so the ratio answers "what does the
-/// modeling overhead cost, and does the native tier actually pay off?".
+/// modeling overhead cost, and does the native backend actually pay off?".
 pub fn e17_backend_validation(sizes: &[u32], iters: u32) -> Table {
     use phiopenssl::ResolvedBackend;
     use std::hint::black_box;
@@ -885,12 +888,12 @@ pub fn e17_backend_validation(sizes: &[u32], iters: u32) -> Table {
     );
     t.note("wall-clock is host-dependent; the KNC column prices the modeled backend only");
     if !phiopenssl::CpuFeatures::detect().avx2 {
-        t.note("host has no AVX2 — native tier unavailable, sweep skipped");
+        t.note("host has no AVX2 — native backend unavailable, sweep skipped");
         return t;
     }
     t.note(format!(
-        "native tier: {}",
-        phi_backend::native_tier().name()
+        "native host: {}",
+        phiopenssl::CpuFeatures::detect()
     ));
     for &bits in sizes {
         let n = workload::modulus(bits);
@@ -931,13 +934,12 @@ pub fn e17_backend_validation(sizes: &[u32], iters: u32) -> Table {
     t
 }
 
-/// E18 — Table: classic CIOS vs truncated-separated Montgomery reduction
+/// E18 — Table: classic vs truncated-separated Montgomery reduction
 /// (DESIGN.md §3.12), 16-lane batch exponentiation per key size.
 ///
-/// Both variants run the same ladder over the same operands; the
-/// truncated kernel elides the low partial products of `m·n`, squares
-/// through a half-triangle, and keeps its comba accumulators
-/// register-resident, so the modeled `mont_reduce` bill drops while the
+/// Both variants run the same generated ladder (the static point) over
+/// the same operands; the truncated reduction elides the low partial
+/// products of `m·n`, so the modeled `mont_reduce` bill drops while the
 /// results stay bit-identical. The `agree` column checks classic,
 /// truncated, and (when the host has AVX2) the native-backend truncated
 /// kernel against the scalar `mod_exp` oracle.
@@ -952,8 +954,8 @@ pub fn e18_truncated(sizes: &[u32]) -> Table {
     let native = phiopenssl::CpuFeatures::detect().avx2;
     if native {
         t.note(format!(
-            "native parity included in `agree` (tier: {})",
-            phi_backend::native_tier().name()
+            "native parity included in `agree` (host: {})",
+            phiopenssl::CpuFeatures::detect()
         ));
     } else {
         t.note("host has no AVX2 — native parity not checked");

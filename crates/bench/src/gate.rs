@@ -58,7 +58,7 @@ pub const IMPROVEMENT_SIZES: [u32; 3] = [512, 1024, 2048];
 pub struct ImprovementLine {
     /// Modulus width in bits.
     pub bits: u32,
-    /// Modeled issue cycles of the classic CIOS batch ladder.
+    /// Modeled issue cycles of the classic-reduction batch ladder.
     pub classic_cycles: f64,
     /// Modeled issue cycles of the truncated-reduction batch ladder.
     pub truncated_cycles: f64,

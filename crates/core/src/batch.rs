@@ -1,9 +1,9 @@
-//! Sixteen-way batched Montgomery multiplication — the second
-//! vectorization axis.
+//! Sixteen-way batched Montgomery arithmetic — the second vectorization
+//! axis.
 //!
 //! Instead of spreading one multiplication's columns across lanes
-//! (the [`vmont`](crate::vmont) kernel), this kernel runs **sixteen
-//! independent multiplications**, one per 32-bit lane, against a shared
+//! (the [`vmont`](crate::vmont) kernel), a batch kernel runs **sixteen
+//! independent multiplications**, one per lane, against a shared
 //! modulus (the natural shape of a busy RSA server: many handshakes, one
 //! private key). Digit `d` of operation `j` lives in lane `j` of the
 //! digit-`d` vector (a transposed, digit-major layout).
@@ -11,17 +11,20 @@
 //! The payoff over the intra-operand kernel is that the per-row scalar
 //! glue — quotient computation, carry handling — also vectorizes: there is
 //! no broadcast and no scalar multiply on the critical path. The cost is a
-//! transpose at the batch boundary and a memory-resident accumulator.
-//! Experiment E8 quantifies the trade.
+//! transpose at the batch boundary. Experiment E8 quantifies the trade.
+//!
+//! [`BatchMont`] is a handle on the generated kernel ([`GenMontCtx`]) at
+//! the paper's static parameter point; [`Batch16`] is the packed layout
+//! the per-lane-modulus [`MultiBatchMont`](crate::MultiBatchMont) kernel
+//! runs on.
 
-#![allow(clippy::needless_range_loop)] // explicit lane/column indices read as kernel semantics
-
+use crate::genmont::GenMontCtx;
 use crate::library::MontVariant;
-use crate::radix::{VecNum, DIGIT_BITS, DIGIT_MASK, LANES};
+use crate::params::KernelParams;
+use crate::radix::{VecNum, DIGIT_MASK};
 use crate::vmont::VMontCtx;
-use phi_backend::{with_backend, Vector32, Vector64, VectorBackend};
+use phi_backend::{with_backend, VectorBackend};
 use phi_bigint::BigUint;
-use phi_mont::MontEngine;
 use phi_simd::count::OpClass;
 use phi_simd::U32x16;
 
@@ -93,321 +96,73 @@ impl Batch16 {
         &self.cols
     }
 
-    /// Assemble a batch directly from transposed columns (kernel internal;
-    /// the truncated kernel packs its vectorized epilogue output here).
-    pub(crate) fn from_cols(cols: Vec<U32x16>) -> Self {
-        Batch16 { cols }
-    }
-
     /// True if the batch has no digit slots.
     pub fn is_empty(&self) -> bool {
         self.cols.is_empty()
     }
 }
 
-/// The batched Montgomery engine for one shared modulus.
+/// The batched Montgomery engine for one shared modulus: a handle on the
+/// radix-2^27 generated kernel at [`KernelParams::static_defaults`],
+/// built from a [`VMontCtx`]'s precomputed constants.
 #[derive(Debug, Clone)]
-pub struct BatchMont<'c> {
-    ctx: &'c VMontCtx,
-    /// Modulus digits, broadcast per column (shared by all lanes).
-    n_cols: Vec<u64>,
-    /// Which reduction kernel the 16-lane multiplies run.
+pub struct BatchMont {
+    kernel: GenMontCtx,
     variant: MontVariant,
 }
 
-impl<'c> BatchMont<'c> {
-    /// Wrap a vector context for batched use with the classic interleaved
-    /// CIOS kernel (the historical default; E8 and the conformance batch
-    /// family measure this path explicitly).
-    pub fn new(ctx: &'c VMontCtx) -> Self {
+impl BatchMont {
+    /// Wrap a vector context for batched use with the classic separated
+    /// reduction (E8 and the conformance batch family measure this path
+    /// explicitly).
+    pub fn new(ctx: &VMontCtx) -> Self {
         Self::with_variant(ctx, MontVariant::Classic)
     }
 
-    /// Wrap a vector context with an explicit reduction variant.
-    /// `Truncated` and `Auto` route batch multiplies through the
-    /// truncated-separated kernel (bit-identical results); moduli of a
-    /// single digit always fall back to classic.
-    pub fn with_variant(ctx: &'c VMontCtx, variant: MontVariant) -> Self {
+    /// Wrap a vector context with an explicit reduction variant:
+    /// `Truncated` and `Auto` run the truncated reduction, `Classic` the
+    /// classic one (bit-identical results). Records no modeled ops and
+    /// no context setup.
+    pub fn with_variant(ctx: &VMontCtx, variant: MontVariant) -> Self {
+        let params = KernelParams {
+            variant: variant.reduction(),
+            ..KernelParams::static_defaults()
+        };
         BatchMont {
-            ctx,
-            n_cols: ctx.n_digits().to_vec(),
+            kernel: GenMontCtx::from_vmont(ctx, params),
             variant,
         }
     }
 
-    /// The underlying context.
-    pub fn ctx(&self) -> &VMontCtx {
-        self.ctx
+    /// The generated kernel this handle runs (for direct 16-lane
+    /// multiplies in its [`GenBatch`](crate::genmont::GenBatch) layout).
+    pub fn kernel(&self) -> &GenMontCtx {
+        &self.kernel
     }
 
-    /// The reduction variant batch multiplies dispatch on.
+    /// The reduction variant this handle was built with.
     pub fn variant(&self) -> MontVariant {
         self.variant
-    }
-
-    fn use_truncated(&self) -> bool {
-        self.variant.batch_truncated(self.ctx.digits())
-    }
-
-    /// Sixteen Montgomery products at once: `out[j] = a[j]·b[j]·R⁻¹ mod n`.
-    ///
-    /// All operands must be context-shaped and `< n`.
-    pub fn mont_mul_16(&self, a: &Batch16, b: &Batch16) -> Batch16 {
-        with_backend!(self.ctx.backend(), B => self.mont_mul_16_generic::<B>(a, b))
-    }
-
-    /// Sixteen Montgomery squarings; under the truncated variant the
-    /// product triangle is halved via the `2·aᵢ·aⱼ` symmetry.
-    pub fn mont_sqr_16(&self, a: &Batch16) -> Batch16 {
-        with_backend!(self.ctx.backend(), B => self.mont_sqr_16_generic::<B>(a))
-    }
-
-    pub(crate) fn mont_mul_16_generic<B: VectorBackend>(
-        &self,
-        a: &Batch16,
-        b: &Batch16,
-    ) -> Batch16 {
-        if self.use_truncated() {
-            crate::truncated::mont_mul_16_truncated::<B>(self.ctx, a, b)
-        } else {
-            self.mont_mul_16_classic::<B>(a, b)
-        }
-    }
-
-    pub(crate) fn mont_sqr_16_generic<B: VectorBackend>(&self, a: &Batch16) -> Batch16 {
-        if self.use_truncated() {
-            crate::truncated::mont_sqr_16_truncated::<B>(self.ctx, a)
-        } else {
-            self.mont_mul_16_classic::<B>(a, a)
-        }
-    }
-
-    fn mont_mul_16_classic<B: VectorBackend>(&self, a: &Batch16, b: &Batch16) -> Batch16 {
-        let _span = phi_trace::span(phi_trace::Scope::BatchMont);
-        let kk = self.ctx.padded_digits();
-        let k = self.ctx.digits();
-        debug_assert_eq!(a.len(), kk);
-        debug_assert_eq!(b.len(), kk);
-
-        // Memory-resident accumulator: per column, two u64x8 halves.
-        let mut acc: Vec<(B::V64, B::V64)> = vec![(B::V64::zero(), B::V64::zero()); kk];
-        let n0_inv = self.ctx.n0_inv();
-
-        let b_halves: Vec<(B::V64, B::V64)> = b
-            .cols
-            .iter()
-            .map(|c| {
-                let col = B::V32::from_lanes(c.to_lanes());
-                (col.widen_lo(), col.widen_hi())
-            })
-            .collect();
-        let n_splats: Vec<B::V64> = self.n_cols.iter().map(|&d| B::V64::splat(d)).collect();
-
-        let n0v = B::V64::splat(n0_inv);
-        let maskv = B::V64::splat(DIGIT_MASK);
-
-        for i in 0..k {
-            // Per-lane digit i of a (two widened halves; loads folded).
-            let a_col = B::V32::from_lanes(a.cols[i].to_lanes());
-            let av0 = a_col.widen_lo();
-            let av1 = a_col.widen_hi();
-
-            // Phase 1 on column 0 only, so q can be computed before
-            // streaming the rest of the row.
-            let (c00, c01) = acc[0];
-            let t00 = c00.fma32(av0, b_halves[0].0);
-            let t01 = c01.fma32(av1, b_halves[0].1);
-
-            // q = (t0 mod 2^27)·n0' mod 2^27, lane-wise and fully vectorized
-            // (no scalar glue — the batched kernel's advantage).
-            let q0 = B::V64::zero().fma32(t00.and(maskv), n0v).and(maskv);
-            let q1 = B::V64::zero().fma32(t01.and(maskv), n0v).and(maskv);
-
-            // Column 0 phase 2.
-            let t00 = t00.fma32(q0, n_splats[0]);
-            let t01 = t01.fma32(q1, n_splats[0]);
-            debug_assert!(t00.to_lanes().iter().all(|&l| l & DIGIT_MASK == 0));
-            let carry0 = t00.shr(DIGIT_BITS);
-            let carry1 = t01.shr(DIGIT_BITS);
-
-            // Stream remaining columns: one store per column; loads fold.
-            for d in 1..kk {
-                let (cd0, cd1) = acc[d];
-                let mut nd0 = cd0.fma32(av0, b_halves[d].0).fma32(q0, n_splats[d]);
-                let mut nd1 = cd1.fma32(av1, b_halves[d].1).fma32(q1, n_splats[d]);
-                if d == 1 {
-                    nd0 = nd0.add(carry0);
-                    nd1 = nd1.add(carry1);
-                }
-                // Shift integrated into the store address: column d lands
-                // in accumulator slot d-1.
-                acc[d - 1] = (nd0, nd1);
-                B::record(OpClass::VMem, 2);
-            }
-            acc[kk - 1] = (B::V64::zero(), B::V64::zero());
-        }
-
-        // Normalize and conditionally subtract per lane (scalar epilogue,
-        // one pass per operation — same footprint as 16 single epilogues).
-        let n_vecnum = self.n_vecnum();
-        let mut outs = Vec::with_capacity(BATCH_WIDTH);
-        for lane in 0..BATCH_WIDTH {
-            let (half, idx) = (lane / 8, lane % 8);
-            let mut v = VecNum::zero(kk);
-            let mut carry = 0u64;
-            for d in 0..kk {
-                let cell = if half == 0 {
-                    acc[d].0.lane(idx)
-                } else {
-                    acc[d].1.lane(idx)
-                };
-                let s = cell + carry;
-                v.digits_mut()[d] = s & DIGIT_MASK;
-                carry = s >> DIGIT_BITS;
-            }
-            debug_assert_eq!(carry, 0);
-            B::record(OpClass::SAlu, 3 * kk as u64);
-            B::record(OpClass::SMem, kk as u64);
-            if v.cmp_digits(&n_vecnum) != std::cmp::Ordering::Less {
-                v.sub_assign_digits(&n_vecnum);
-            }
-            outs.push(v);
-        }
-        Batch16::transpose_from_impl::<B>(&outs)
     }
 
     /// Sixteen exponentiations `base[j]^exp mod n` with one shared exponent
     /// (the RSA-server shape: one private key, many ciphertexts), using the
     /// fixed-window ladder.
     pub fn mod_exp_16(&self, bases: &[BigUint], exp: &BigUint, window: u32) -> Vec<BigUint> {
-        with_backend!(self.ctx.backend(), B => self.mod_exp_16_generic::<B>(bases, exp, window))
+        self.kernel.mod_exp_16_window(bases, exp, window)
     }
 
-    fn mod_exp_16_generic<B: VectorBackend>(
-        &self,
-        bases: &[BigUint],
-        exp: &BigUint,
-        window: u32,
-    ) -> Vec<BigUint> {
-        let _span = phi_trace::span(phi_trace::Scope::BatchExp);
-        assert_eq!(bases.len(), BATCH_WIDTH);
-        assert!((1..=7).contains(&window));
-        if self.ctx.modulus().is_one() {
-            return vec![BigUint::zero(); BATCH_WIDTH];
-        }
-        if exp.is_zero() {
-            return vec![BigUint::one(); BATCH_WIDTH];
-        }
-
-        let base_m: Vec<VecNum> = bases.iter().map(|b| self.ctx.to_mont_vec(b)).collect();
-        let base_b = Batch16::transpose_from_impl::<B>(&base_m);
-
-        // table[v] = batch of base^v.
-        let one_b = Batch16::transpose_from_impl::<B>(&vec![self.ctx.one_mont_vec(); BATCH_WIDTH]);
-        let table_len = 1usize << window;
-        let mut table = Vec::with_capacity(table_len);
-        table.push(one_b);
-        for v in 1..table_len {
-            let prev: &Batch16 = &table[v - 1];
-            table.push(self.mont_mul_16_generic::<B>(prev, &base_b));
-        }
-
-        let bits = exp.bit_length();
-        let windows = bits.div_ceil(window);
-        let mut acc = table[0].clone();
-        for win in (0..windows).rev() {
-            for _ in 0..window {
-                acc = self.mont_sqr_16_generic::<B>(&acc);
-            }
-            let lo = win * window;
-            let width = window.min(bits - lo);
-            let val = exp.extract_bits(lo, width) as usize;
-            B::record(OpClass::SAlu, 4);
-            B::record(OpClass::VMem, 2 * (self.ctx.padded_digits() / LANES) as u64);
-            acc = self.mont_mul_16_generic::<B>(&acc, &table[val]);
-        }
-
-        acc.transpose_out_impl::<B>()
-            .iter()
-            .map(|v| {
-                let one = {
-                    let mut o = self.ctx.zero_vec();
-                    o.digits_mut()[0] = 1;
-                    o
-                };
-                self.ctx.mont_mul_generic::<B>(v, &one).to_biguint()
-            })
-            .collect()
-    }
-
-    /// Sixteen power-equality checks at once: `out[j] = (base[j]^exp ≡
-    /// expected[j] (mod n))`, with one shared exponent.
-    ///
-    /// This is the release check of the verified offload path (DESIGN.md
-    /// §3.14): `m^e ≡ c (mod n)` over a whole flush in one batched
-    /// ladder. Three things keep it cheap where [`Self::mod_exp_16`]
-    /// would not be:
-    ///
-    /// * plain square-and-multiply over the exponent's actual bits — for
-    ///   a sparse public exponent like 65537 that is 16 squarings plus
-    ///   one multiplication, where a fixed-window ladder would multiply
-    ///   on every window;
-    /// * batched domain entry: both `base` and `expected` enter the
-    ///   Montgomery domain via one 16-lane multiplication by R² each,
-    ///   instead of sixteen single-lane conversions;
-    /// * the comparison happens *in* the Montgomery domain (x ↦ x·R is
-    ///   injective mod n), so there is no domain exit at all.
-    ///
-    /// Lanes padded with `base = expected = 0` compare equal. The caller
-    /// wraps the call in whatever trace scope fits (the resilient
-    /// runtime uses `Scope::Verify`); no span is opened here.
+    /// Sixteen power-equality checks at once; see
+    /// [`GenMontCtx::pow_eq_16`].
     pub fn pow_eq_16(&self, bases: &[BigUint], exp: &BigUint, expected: &[BigUint]) -> Vec<bool> {
-        with_backend!(self.ctx.backend(), B => self.pow_eq_16_generic::<B>(bases, exp, expected))
-    }
-
-    fn pow_eq_16_generic<B: VectorBackend>(
-        &self,
-        bases: &[BigUint],
-        exp: &BigUint,
-        expected: &[BigUint],
-    ) -> Vec<bool> {
-        assert_eq!(bases.len(), BATCH_WIDTH);
-        assert_eq!(expected.len(), BATCH_WIDTH);
-        assert!(!exp.is_zero(), "a power check needs a nonzero exponent");
-        let rr = vec![self.ctx.rr_vec().clone(); BATCH_WIDTH];
-        let rr_b = Batch16::transpose_from_impl::<B>(&rr);
-        let raw: Vec<VecNum> = bases.iter().map(|b| self.ctx.to_vec_form(b)).collect();
-        let base_m = self.mont_mul_16_generic::<B>(&Batch16::transpose_from_impl::<B>(&raw), &rr_b);
-        let mut acc = base_m.clone();
-        let bits = exp.bit_length();
-        for i in (0..bits - 1).rev() {
-            acc = self.mont_sqr_16_generic::<B>(&acc);
-            if exp.extract_bits(i, 1) == 1 {
-                acc = self.mont_mul_16_generic::<B>(&acc, &base_m);
-            }
-        }
-        let want: Vec<VecNum> = expected.iter().map(|c| self.ctx.to_vec_form(c)).collect();
-        let want_m =
-            self.mont_mul_16_generic::<B>(&Batch16::transpose_from_impl::<B>(&want), &rr_b);
-        let got = acc.transpose_out_impl::<B>();
-        want_m
-            .transpose_out_impl::<B>()
-            .iter()
-            .zip(&got)
-            .map(|(w, g)| w.cmp_digits(g) == std::cmp::Ordering::Equal)
-            .collect()
-    }
-
-    fn n_vecnum(&self) -> VecNum {
-        let mut v = VecNum::zero(self.ctx.padded_digits());
-        v.digits_mut().copy_from_slice(&self.n_cols);
-        v
+        self.kernel.pow_eq_16(bases, exp, expected)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phi_mont::MontEngine;
     use phi_simd::count;
 
     fn ctx256() -> VMontCtx {
@@ -434,6 +189,25 @@ mod tests {
         (plain, vecs)
     }
 
+    /// Sixteen Montgomery products through a handle's kernel, out of the
+    /// batch layout (still in the Montgomery domain of `R = 2^(27k)`).
+    fn mul16(bm: &BatchMont, a: &[BigUint], b: &[BigUint]) -> Vec<BigUint> {
+        let k = bm.kernel();
+        k.from_batch(&k.mont_mul_16(&k.to_batch(a), &k.to_batch(b)))
+    }
+
+    fn sqr16(bm: &BatchMont, a: &[BigUint]) -> Vec<BigUint> {
+        let k = bm.kernel();
+        k.from_batch(&k.mont_sqr_16(&k.to_batch(a)))
+    }
+
+    fn both_variants(ctx: &VMontCtx) -> (BatchMont, BatchMont) {
+        (
+            BatchMont::with_variant(ctx, MontVariant::Classic),
+            BatchMont::with_variant(ctx, MontVariant::Truncated),
+        )
+    }
+
     #[test]
     fn transpose_roundtrip() {
         let ctx = ctx256();
@@ -451,17 +225,103 @@ mod tests {
     }
 
     #[test]
+    fn building_a_handle_records_nothing() {
+        // The verified service builds one per flush and the benchmark
+        // replays that check: construction must stay off both channels.
+        let ctx = ctx256();
+        let ((), setups) = count::measure_ctx_setups(|| {
+            let (_, ops) = count::measure(|| BatchMont::with_variant(&ctx, MontVariant::Auto));
+            assert_eq!(ops, count::OpCounts::default());
+        });
+        assert_eq!(setups, 0);
+    }
+
+    #[test]
     fn batched_mul_matches_single_kernel() {
         let ctx = ctx256();
-        let bm = BatchMont::new(&ctx);
-        let (_, av) = sixteen_values(&ctx, 1);
-        let (_, bv) = sixteen_values(&ctx, 2);
-        let got = bm
-            .mont_mul_16(&Batch16::transpose_from(&av), &Batch16::transpose_from(&bv))
-            .transpose_out();
+        let (ap, av) = sixteen_values(&ctx, 1);
+        let (bp, bv) = sixteen_values(&ctx, 2);
+        for bm in [
+            BatchMont::new(&ctx),
+            BatchMont::with_variant(&ctx, MontVariant::Auto),
+        ] {
+            let got = mul16(&bm, &ap, &bp);
+            for j in 0..BATCH_WIDTH {
+                let want = ctx.mont_mul_vec(&av[j], &bv[j]).to_biguint();
+                assert_eq!(got[j], want, "{:?} lane {j}", bm.variant());
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_mul_matches_classic_batch() {
+        for n in [
+            ctx256().modulus().clone(),
+            &BigUint::power_of_two(1024) - &BigUint::from(0x11Du64),
+            // top-limb-dense modulus: every high digit saturated
+            &BigUint::power_of_two(512) - &BigUint::from(237u64),
+        ] {
+            let ctx = VMontCtx::new(&n).unwrap();
+            let (classic, truncated) = both_variants(&ctx);
+            let (a, _) = sixteen_values(&ctx, 1);
+            let (b, _) = sixteen_values(&ctx, 2);
+            assert_eq!(
+                mul16(&truncated, &a, &b),
+                mul16(&classic, &a, &b),
+                "bits = {}",
+                n.bit_length()
+            );
+            // The dedicated squaring answers the same question.
+            assert_eq!(sqr16(&truncated, &a), mul16(&classic, &a, &a));
+        }
+    }
+
+    #[test]
+    fn extreme_lanes_hit_the_correction_boundary() {
+        // 0, 1, n-1 and R mod n lanes: zero lanes exercise the
+        // round_up = 0 branch, n-1 lanes the conditional subtract.
+        let n = &BigUint::power_of_two(256) - &BigUint::from(189u64);
+        let ctx = VMontCtx::new(&n).unwrap();
+        let (classic, truncated) = both_variants(&ctx);
+        let vals: Vec<BigUint> = (0..BATCH_WIDTH)
+            .map(|j| match j % 4 {
+                0 => BigUint::zero(),
+                1 => BigUint::one(),
+                2 => &n - &BigUint::one(),
+                _ => ctx.one_mont(),
+            })
+            .collect();
+        let want: Vec<BigUint> = vals
+            .iter()
+            .map(|v| {
+                let vv = ctx.to_vec_form(v);
+                ctx.mont_mul_vec(&vv, &vv).to_biguint()
+            })
+            .collect();
+        assert_eq!(mul16(&classic, &vals, &vals), want);
+        assert_eq!(mul16(&truncated, &vals, &vals), want);
+        assert_eq!(sqr16(&truncated, &vals), want);
+    }
+
+    #[test]
+    fn small_modulus_falls_back_to_classic() {
+        // k = 1: the boundary column s_{k-2} does not exist; the
+        // truncated variant must run the classic reduction.
+        let n = BigUint::from(97u64);
+        let ctx = VMontCtx::new(&n).unwrap();
+        assert!(ctx.digits() < 2);
+        let (classic, truncated) = both_variants(&ctx);
+        let vals: Vec<BigUint> = (0..BATCH_WIDTH)
+            .map(|j| BigUint::from(j as u64 * 7 + 1))
+            .collect();
+        assert_eq!(
+            mul16(&truncated, &vals, &vals),
+            mul16(&classic, &vals, &vals)
+        );
+        let exp = BigUint::from(65537u64);
+        let got = truncated.mod_exp_16(&vals, &exp, 5);
         for j in 0..BATCH_WIDTH {
-            let want = ctx.mont_mul_vec(&av[j], &bv[j]);
-            assert_eq!(got[j], want, "lane {j}");
+            assert_eq!(got[j], vals[j].mod_exp(&exp, &n), "lane {j}");
         }
     }
 
@@ -527,38 +387,22 @@ mod tests {
     }
 
     #[test]
-    fn batched_mul_with_extreme_lanes() {
-        let ctx = ctx256();
-        let n = ctx.modulus().clone();
-        let bm = BatchMont::new(&ctx);
-        // Mix zeros, ones and n-1 across lanes.
-        let mut vals = Vec::new();
-        for j in 0..BATCH_WIDTH {
-            let v = match j % 4 {
-                0 => BigUint::zero(),
-                1 => BigUint::one(),
-                2 => &n - &BigUint::one(),
-                _ => BigUint::from(j as u64 * 12345),
-            };
-            vals.push(ctx.to_vec_form(&v));
-        }
-        let b = Batch16::transpose_from(&vals);
-        let got = bm.mont_mul_16(&b, &b).transpose_out();
-        for j in 0..BATCH_WIDTH {
-            assert_eq!(got[j], ctx.mont_mul_vec(&vals[j], &vals[j]), "lane {j}");
-        }
-    }
-
-    #[test]
     fn batched_exp_matches_oracle() {
         let ctx = ctx256();
         let n = ctx.modulus().clone();
-        let bm = BatchMont::new(&ctx);
         let (plain, _) = sixteen_values(&ctx, 7);
         let exp = BigUint::from_hex("deadbeefcafebabe").unwrap();
-        let got = bm.mod_exp_16(&plain, &exp, 5);
-        for j in 0..BATCH_WIDTH {
-            assert_eq!(got[j], plain[j].mod_exp(&exp, &n), "lane {j}");
+        let (classic, truncated) = both_variants(&ctx);
+        for bm in [classic, truncated] {
+            let got = bm.mod_exp_16(&plain, &exp, 5);
+            for j in 0..BATCH_WIDTH {
+                assert_eq!(
+                    got[j],
+                    plain[j].mod_exp(&exp, &n),
+                    "{:?} lane {j}",
+                    bm.variant()
+                );
+            }
         }
     }
 
@@ -578,13 +422,37 @@ mod tests {
         let ctx = ctx256();
         let nctx =
             VMontCtx::with_backend(ctx.modulus(), phi_backend::ResolvedBackend::NativeX86).unwrap();
-        let bm = BatchMont::new(&ctx);
-        let bn = BatchMont::new(&nctx);
         let (plain, _) = sixteen_values(&ctx, 21);
         let exp = BigUint::from_hex("deadbeefcafebabe").unwrap();
-        assert_eq!(
-            bm.mod_exp_16(&plain, &exp, 5),
-            bn.mod_exp_16(&plain, &exp, 5)
+        for variant in [MontVariant::Classic, MontVariant::Truncated] {
+            assert_eq!(
+                BatchMont::with_variant(&ctx, variant).mod_exp_16(&plain, &exp, 5),
+                BatchMont::with_variant(&nctx, variant).mod_exp_16(&plain, &exp, 5),
+                "{variant:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn truncated_beats_classic_in_weighted_vector_ops() {
+        // The truncated exponentiation ladder (squarings dominate) must
+        // record fewer modeled cycles than the classic one.
+        let n = &BigUint::power_of_two(1024) - &BigUint::from(0x11Du64);
+        let ctx = VMontCtx::new(&n).unwrap();
+        let (classic, truncated) = both_variants(&ctx);
+        let bases: Vec<BigUint> = (0..BATCH_WIDTH)
+            .map(|j| &BigUint::from(j as u64 * 999 + 7) % &n)
+            .collect();
+        let exp = BigUint::from_hex("ffffffffffffffff").unwrap();
+        count::reset();
+        let (rc, dc) = count::measure(|| classic.mod_exp_16(&bases, &exp, 5));
+        let (rt, dt) = count::measure(|| truncated.mod_exp_16(&bases, &exp, 5));
+        assert_eq!(rc, rt, "results must stay bit-identical");
+        let model = phi_simd::CostModel::knc();
+        let (cc, ct) = (model.issue_cycles(&dc), model.issue_cycles(&dt));
+        assert!(
+            ct < cc,
+            "truncated must win: classic {cc} cycles, truncated {ct} cycles"
         );
     }
 
@@ -592,12 +460,12 @@ mod tests {
     fn batch_beats_sixteen_singles_in_vector_ops() {
         let ctx = ctx256();
         let bm = BatchMont::new(&ctx);
-        let (_, av) = sixteen_values(&ctx, 11);
-        let (_, bv) = sixteen_values(&ctx, 12);
-        let ab = Batch16::transpose_from(&av);
-        let bb = Batch16::transpose_from(&bv);
+        let (ap, av) = sixteen_values(&ctx, 11);
+        let (bp, bv) = sixteen_values(&ctx, 12);
+        let k = bm.kernel();
+        let (ab, bb) = (k.to_batch(&ap), k.to_batch(&bp));
         count::reset();
-        let (_, d_batch) = count::measure(|| bm.mont_mul_16(&ab, &bb));
+        let (_, d_batch) = count::measure(|| k.mont_mul_16(&ab, &bb));
         let (_, d_single) = count::measure(|| {
             for j in 0..BATCH_WIDTH {
                 let _ = ctx.mont_mul_vec(&av[j], &bv[j]);
@@ -608,5 +476,17 @@ mod tests {
         assert!(d_single.get(OpClass::SMul32) > 0);
         // …and fewer broadcast/permute slots.
         assert!(d_batch.get(OpClass::VPerm) < d_single.get(OpClass::VPerm));
+    }
+
+    #[test]
+    fn counts_are_deterministic() {
+        let ctx = ctx256();
+        let bm = BatchMont::with_variant(&ctx, MontVariant::Truncated);
+        let (plain, _) = sixteen_values(&ctx, 5);
+        let exp = BigUint::from_hex("abcdef").unwrap();
+        count::reset();
+        let (_, d1) = count::measure(|| bm.mod_exp_16(&plain, &exp, 5));
+        let (_, d2) = count::measure(|| bm.mod_exp_16(&plain, &exp, 5));
+        assert_eq!(d1, d2);
     }
 }

@@ -3,14 +3,16 @@
 //! CRT running through the 16-way lane-batched Montgomery ladder.
 //!
 //! For a server with one private key, every request shares `(p, q, dp,
-//! dq, qInv)`, so a batch of ciphertexts is exactly the shape
-//! [`BatchMont`] wants: the two half-size exponentiations run with one
-//! shared exponent each, and only the Garner recombination is per-lane.
+//! dq, qInv)`, so a batch of ciphertexts is exactly the shape the
+//! generated 16-lane kernel ([`GenMontCtx`]) wants: the two half-size
+//! exponentiations run with one shared exponent each, and only the
+//! Garner recombination is per-lane.
 
-use crate::batch::{BatchMont, BATCH_WIDTH};
+use crate::batch::BATCH_WIDTH;
 use crate::crt::CrtKey;
 use crate::genmont::GenMontCtx;
 use crate::library::{MontVariant, PhiConfig};
+use crate::params::KernelParams;
 use crate::tuning::{Tuning, TuningTable};
 use crate::vexp::DEFAULT_WINDOW;
 use crate::vmont::VMontCtx;
@@ -31,10 +33,11 @@ pub struct BatchCrtEngine {
     window: u32,
     variant: MontVariant,
     tuning: Tuning,
-    /// Generated half-size contexts, present only when the tuning policy
-    /// selected a committed `generated` winner applicable to both halves.
-    gen_p: Option<GenMontCtx>,
-    gen_q: Option<GenMontCtx>,
+    /// The batch ladders' generated kernels, one per CRT half: the
+    /// static point, or a committed table winner when `tuned`.
+    kern_p: GenMontCtx,
+    kern_q: GenMontCtx,
+    tuned: bool,
 }
 
 impl BatchCrtEngine {
@@ -111,9 +114,14 @@ impl BatchCrtEngine {
         q: BigUint,
         backend: ResolvedBackend,
     ) -> Result<Self, BigIntError> {
+        let ctx_p = VMontCtx::with_backend(&p, backend)?;
+        let ctx_q = VMontCtx::with_backend(&q, backend)?;
+        let point = Self::static_point(DEFAULT_WINDOW, MontVariant::Auto);
         Ok(BatchCrtEngine {
-            ctx_p: VMontCtx::with_backend(&p, backend)?,
-            ctx_q: VMontCtx::with_backend(&q, backend)?,
+            kern_p: GenMontCtx::from_vmont(&ctx_p, point),
+            kern_q: GenMontCtx::from_vmont(&ctx_q, point),
+            ctx_p,
+            ctx_q,
             p,
             q,
             dp,
@@ -123,43 +131,62 @@ impl BatchCrtEngine {
             window: DEFAULT_WINDOW,
             variant: MontVariant::Auto,
             tuning: Tuning::Static,
-            gen_p: None,
-            gen_q: None,
+            tuned: false,
         })
     }
 
-    /// Override the fixed-window width.
+    fn static_point(window: u32, variant: MontVariant) -> KernelParams {
+        KernelParams {
+            window,
+            variant: variant.reduction(),
+            ..KernelParams::static_defaults()
+        }
+    }
+
+    /// Point both halves at the static kernel for the current window and
+    /// variant (free: the kernels reuse the half contexts' constants).
+    fn use_static_point(&mut self) {
+        let point = Self::static_point(self.window, self.variant);
+        self.kern_p = GenMontCtx::from_vmont(&self.ctx_p, point);
+        self.kern_q = GenMontCtx::from_vmont(&self.ctx_q, point);
+        self.tuned = false;
+    }
+
+    /// Override the fixed-window width of the static kernel (a tuned
+    /// kernel keeps its table window).
     pub fn with_window(mut self, window: u32) -> Self {
         assert!((1..=7).contains(&window));
         self.window = window;
+        if !self.tuned {
+            self.use_static_point();
+        }
         self
     }
 
-    /// Override the Montgomery reduction variant (default `Auto`:
-    /// truncated kernels on the batch ladders, classic single-op path).
+    /// Override the static kernel's Montgomery reduction (default `Auto`,
+    /// the truncated reduction; a tuned kernel keeps its table variant).
     pub fn with_variant(mut self, variant: MontVariant) -> Self {
         self.variant = variant;
+        if !self.tuned {
+            self.use_static_point();
+        }
         self
     }
 
-    /// The reduction variant the batch ladders dispatch on.
+    /// The reduction variant the static kernel runs.
     pub fn variant(&self) -> MontVariant {
         self.variant
     }
 
-    /// Select the tuning policy (default [`Tuning::Static`], which keeps
-    /// the hand-written kernels and is bit- and cycle-identical to the
-    /// pre-tuning engine). Under [`Tuning::Table`]/[`Tuning::Auto`], a
-    /// committed `generated` winner for this key size builds the
-    /// generated half-size contexts the batch ladders then dispatch to;
-    /// entries inapplicable to the concrete halves fall back silently.
+    /// Select the tuning policy (default [`Tuning::Static`]: the static
+    /// parameter point at this engine's window and variant). Under
+    /// [`Tuning::Table`]/[`Tuning::Auto`], a committed `generated` winner
+    /// for this key size builds the half-size kernels the batch ladders
+    /// run; entries inapplicable to the concrete halves fall back to the
+    /// static point.
     pub fn with_tuning(mut self, tuning: Tuning) -> Self {
         self.tuning = tuning;
-        self.gen_p = None;
-        self.gen_q = None;
-        if tuning == Tuning::Static {
-            return self;
-        }
+        self.use_static_point();
         let backend = self.backend();
         let params = TuningTable::committed().params_for_modulus(
             tuning,
@@ -173,8 +200,9 @@ impl BatchCrtEngine {
                 GenMontCtx::new(&self.p, params, backend),
                 GenMontCtx::new(&self.q, params, backend),
             ) {
-                self.gen_p = Some(gp);
-                self.gen_q = Some(gq);
+                self.kern_p = gp;
+                self.kern_q = gq;
+                self.tuned = true;
             }
         }
         self
@@ -185,10 +213,10 @@ impl BatchCrtEngine {
         self.tuning
     }
 
-    /// Whether the batch ladders currently dispatch to a generated
-    /// (table-selected) kernel rather than the static ones.
+    /// Whether the batch ladders currently run a table-selected kernel
+    /// rather than the static point.
     pub fn tuned_kernel_active(&self) -> bool {
-        self.gen_p.is_some()
+        self.tuned
     }
 
     /// The backend this engine's kernels run on.
@@ -204,19 +232,10 @@ impl BatchCrtEngine {
     /// Execute `c^d mod n` for exactly [`BATCH_WIDTH`] ciphertexts.
     pub fn private_op_16(&self, cts: &[BigUint]) -> Vec<BigUint> {
         assert_eq!(cts.len(), BATCH_WIDTH, "need exactly {BATCH_WIDTH} inputs");
-        // Two shared-exponent batched ladders, through the generated
-        // kernel when the tuning table selected one (bit-identical —
-        // only the modeled cycle count moves)…
-        let (m1, m2) = if let (Some(gp), Some(gq)) = (&self.gen_p, &self.gen_q) {
-            (gp.mod_exp_16(cts, &self.dp), gq.mod_exp_16(cts, &self.dq))
-        } else {
-            let bp = BatchMont::with_variant(&self.ctx_p, self.variant);
-            let bq = BatchMont::with_variant(&self.ctx_q, self.variant);
-            (
-                bp.mod_exp_16(cts, &self.dp, self.window),
-                bq.mod_exp_16(cts, &self.dq, self.window),
-            )
-        };
+        // Two shared-exponent batched ladders (every kernel choice is
+        // bit-identical — only the modeled cycle count moves)…
+        let m1 = self.kern_p.mod_exp_16(cts, &self.dp);
+        let m2 = self.kern_q.mod_exp_16(cts, &self.dq);
         // …then per-lane Garner recombination.
         let _span = phi_trace::span(phi_trace::Scope::CrtRecombine);
         let qinv_mont = self.ctx_p.to_mont_vec(&self.qinv);
@@ -272,41 +291,20 @@ impl BatchCrtEngine {
         out
     }
 
-    /// One operation through the single-op path: the intra-operand kernel
-    /// under `Classic`/`Auto`, or the SoA 16-lane layout at occupancy 1
-    /// under `Truncated` (scalar-shaped calls reuse the batch engine).
+    /// One operation through the single-op intra-operand kernel.
     pub fn private_op_single(&self, c: &BigUint) -> BigUint {
         use crate::vexp::{exp_fixed_window_vec, TableLookup};
-        let (m1, m2) = if self.variant.single_soa() {
-            (
-                crate::truncated::mod_exp_soa(&self.ctx_p, c, &self.dp, self.window),
-                crate::truncated::mod_exp_soa(&self.ctx_q, c, &self.dq, self.window),
-            )
-        } else {
-            let m1 = {
-                let cm = self.ctx_p.to_mont_vec(c);
-                let r = exp_fixed_window_vec(
-                    &self.ctx_p,
-                    &cm,
-                    &self.dp,
-                    self.window,
-                    TableLookup::Direct,
-                );
-                self.ctx_p.from_mont_vec(&r)
-            };
-            let m2 = {
-                let cm = self.ctx_q.to_mont_vec(c);
-                let r = exp_fixed_window_vec(
-                    &self.ctx_q,
-                    &cm,
-                    &self.dq,
-                    self.window,
-                    TableLookup::Direct,
-                );
-                self.ctx_q.from_mont_vec(&r)
-            };
-            (m1, m2)
+        let half = |ctx: &VMontCtx, d: &BigUint| {
+            let r = exp_fixed_window_vec(
+                ctx,
+                &ctx.to_mont_vec(c),
+                d,
+                self.window,
+                TableLookup::Direct,
+            );
+            ctx.from_mont_vec(&r)
         };
+        let (m1, m2) = (half(&self.ctx_p, &self.dp), half(&self.ctx_q, &self.dq));
         let _span = phi_trace::span(phi_trace::Scope::CrtRecombine);
         let diff = m1.mod_sub(&m2, &self.p);
         let qinv_mont = self.ctx_p.to_mont_vec(&self.qinv);

@@ -1,47 +1,45 @@
 //! Generated Montgomery kernels: the executable form of a
-//! [`KernelParams`] point.
+//! [`KernelParams`] point, and the only 16-lane kernel for ladders that
+//! share one modulus.
 //!
-//! The hand-written kernels ([`crate::vmont`], [`crate::truncated`])
-//! hard-code radix 2^27, full unrolling and the truncated reduction. This
-//! module is the *generator* those kernels are one point of: given a
-//! [`KernelParams`], [`GenMontCtx`] builds a Montgomery context in radix
-//! `2^r` and runs the 16-lane batched fixed-window ladder with either the
-//! classic separated full reduction or the truncated-separated reduction
-//! (Didier et al., arXiv 2410.18129), at a parameterized column-loop
-//! unroll factor.
+//! Given a [`KernelParams`], [`GenMontCtx`] builds a Montgomery context
+//! in radix `2^r` and runs the 16-lane batched fixed-window ladder with
+//! either the classic separated full reduction or the truncated-separated
+//! reduction (Didier et al., arXiv 2410.18129), at a parameterized
+//! column-loop unroll factor. The paper's lane-per-operation kernel is
+//! one point of this space, [`KernelParams::static_defaults`]: radix
+//! 2^27, window 5, truncated reduction, unroll 8. [`crate::BatchMont`]
+//! and the static [`crate::BatchCrtEngine`] run that point; the tuning
+//! table picks others.
 //!
-//! Two modeling conventions differ from the hand-written kernels, both
-//! deliberate:
+//! Two modeling conventions hold at every point:
 //!
 //! * **Loop control is charged.** Generated code is emitted as
 //!   parameterized loops, not straight-line code; every column loop
 //!   charges one scalar op per `unroll`-sized block
-//!   (`ceil(iters/unroll)` [`OpClass::SAlu`]). The hand-written kernels
-//!   model fully unrolled straight-line code and charge none — so a
-//!   generated variant must *earn* its radix win over that overhead,
-//!   which is exactly the trade `phi-tune` searches.
+//!   (`ceil(iters/unroll)` [`OpClass::SAlu`]), which is exactly the
+//!   trade `phi-tune` searches.
 //! * **Batched domain entry/exit.** The ladder enters the Montgomery
-//!   domain through one 16-lane multiplication by a broadcast R² (the
-//!   [`crate::BatchMont::pow_eq_16`] trick) instead of sixteen
-//!   single-lane conversions, and exits the same way.
+//!   domain through one 16-lane multiplication by a broadcast R²
+//!   instead of sixteen single-lane conversions, and exits the same way.
 //!
-//! Every admissible parameter point is **bit-identical** to the classic
-//! batch kernel and the scalar oracle; the `tuned` conformance family and
-//! the tests below prove it across adversarial moduli, and the
-//! column-sum bound justifying each radix is enforced by
-//! [`KernelParams::validate`] before a kernel ever runs.
+//! Every admissible parameter point is **bit-identical** to the scalar
+//! oracle; the `kernel-params` conformance family and the tests below
+//! prove it across adversarial moduli, and the column-sum bound
+//! justifying each radix is enforced by [`KernelParams::validate`]
+//! before a kernel ever runs.
 
 #![allow(clippy::needless_range_loop)] // explicit column indices read as kernel semantics
 
+use crate::batch::BATCH_WIDTH;
 use crate::library::MontVariant;
 use crate::params::{KernelParams, ParamError};
+use crate::vmont::VMontCtx;
 use phi_backend::{with_backend, ResolvedBackend, Vector64, VectorBackend};
 use phi_bigint::{BigIntError, BigUint};
+use phi_mont::MontEngine;
 use phi_simd::count::{record, OpClass};
 use std::fmt;
-
-/// Operations per batch (one per 32-bit lane of a 512-bit register).
-use crate::batch::BATCH_WIDTH;
 
 /// A 16-lane column as two 8-lane u64 halves (lanes 0..8 and 8..16).
 type Pair<B> = (<B as VectorBackend>::V64, <B as VectorBackend>::V64);
@@ -73,9 +71,7 @@ impl From<ParamError> for GenMontError {
 }
 
 /// Sixteen same-shaped values in radix-`2^r` digit-major layout:
-/// `cols[d][j]` holds digit `d` of lane `j`. The generated-kernel
-/// counterpart of [`crate::batch::Batch16`], carried as `u64` columns because
-/// digits of up to 29 bits no longer fit the packed u32 lanes.
+/// `cols[d][j]` holds digit `d` of lane `j`, carried as `u64` columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GenBatch {
     cols: Vec<[u64; BATCH_WIDTH]>,
@@ -155,6 +151,32 @@ impl GenMontCtx {
         })
     }
 
+    /// A radix-2^27 context over a [`VMontCtx`]'s modulus, reusing its
+    /// precomputed `n`, `N'` and `R²` (both use `R = 2^(27k)`). Records
+    /// no modeled ops and no context setup, so wrapping a context for
+    /// batched use is free. Unlike [`new`](Self::new) it accepts
+    /// single-digit moduli, where the truncated variant runs the classic
+    /// reduction.
+    pub(crate) fn from_vmont(ctx: &VMontCtx, params: KernelParams) -> Self {
+        debug_assert_eq!(params.radix_bits, crate::radix::DIGIT_BITS);
+        debug_assert_ne!(params.variant, MontVariant::Auto);
+        let k = ctx.digits();
+        let r = params.radix_bits;
+        let one_mont = &BigUint::power_of_two(k as u32 * r) % ctx.modulus();
+        GenMontCtx {
+            n: ctx.modulus().clone(),
+            params,
+            k,
+            r,
+            mask: (1u64 << r) - 1,
+            n_digits: ctx.n_digits()[..k].to_vec(),
+            nprime_digits: ctx.nprime_digits()[..k].to_vec(),
+            rr_digits: ctx.rr_vec().digits()[..k].to_vec(),
+            one_mont_digits: slice_digits(&one_mont, r, k),
+            backend: ctx.backend(),
+        }
+    }
+
     /// The parameter point this context executes.
     pub fn params(&self) -> &KernelParams {
         &self.params
@@ -185,8 +207,8 @@ impl GenMontCtx {
     }
 
     /// Transpose sixteen residues (reduced mod `n` if needed) into the
-    /// digit-major batch layout. Charged like [`crate::batch::Batch16`]'s
-    /// boundary transpose (~4 swizzles per produced column) plus the
+    /// digit-major batch layout. Charged as the in-register 16×16
+    /// transpose network (~4 swizzles per produced column) plus the
     /// host-side digit slicing.
     pub fn to_batch(&self, values: &[BigUint]) -> GenBatch {
         assert_eq!(values.len(), BATCH_WIDTH, "need exactly 16 values");
@@ -250,11 +272,14 @@ impl GenMontCtx {
     /// Enter the Montgomery domain batched: one 16-lane multiplication of
     /// the raw residues by the broadcast R².
     pub fn enter_mont_16(&self, values: &[BigUint]) -> GenBatch {
-        with_backend!(self.backend, B => {
-            let raw = self.to_batch_impl::<B>(values);
-            let rr_b = self.splat_batch::<B>(&self.rr_digits);
-            self.mont_mul_16_generic::<B>(&raw, &rr_b)
-        })
+        assert_eq!(values.len(), BATCH_WIDTH, "need exactly 16 values");
+        with_backend!(self.backend, B => self.enter_mont_impl::<B>(values))
+    }
+
+    fn enter_mont_impl<B: VectorBackend>(&self, values: &[BigUint]) -> GenBatch {
+        let raw = self.to_batch_impl::<B>(values);
+        let rr_b = self.splat_batch::<B>(&self.rr_digits);
+        self.mont_mul_16_generic::<B>(&raw, &rr_b)
     }
 
     /// Sixteen Montgomery products at once (operands in batch layout,
@@ -394,19 +419,33 @@ impl GenMontCtx {
         m
     }
 
+    /// Dispatch on the reduction variant. A single-digit modulus has no
+    /// boundary column `s_{k-2}`, so the truncated variant runs the
+    /// classic reduction there.
     fn reduce<B: VectorBackend>(&self, traw: &[Pair<B>]) -> GenBatch {
         match self.params.variant {
-            MontVariant::Truncated => self.reduce_truncated::<B>(traw),
-            MontVariant::Classic => self.reduce_classic::<B>(traw),
+            MontVariant::Truncated if self.k >= 2 => self.reduce_truncated::<B>(traw),
+            MontVariant::Truncated | MontVariant::Classic => self.reduce_classic::<B>(traw),
             MontVariant::Auto => unreachable!("validate() rejects Auto"),
         }
     }
 
-    /// Truncated separated reduction, generalized over the radix: the
-    /// exact structure of [`crate::truncated`]'s `reduce_truncated` with
-    /// `2^27` replaced by `2^r` throughout (the correction's validity
-    /// needs only `k - 1 < 2^r`, trivially true at every admissible
-    /// point).
+    /// Truncated separated reduction of the `2k-1` raw comba columns of
+    /// `T`:
+    ///
+    /// 1. normalize `T` and form `m = (T mod R)·N' mod R` from the low
+    ///    product triangle only;
+    /// 2. form only the **high** anti-triangle of `m·n` plus the two
+    ///    boundary columns `s_{k-2}, s_{k-1}` — the low columns are never
+    ///    formed;
+    /// 3. recover the elided low part exactly: with
+    ///    `D̂ = T_lo + s_{k-2}β^{k-2} + s_{k-1}β^{k-1}`, the elided
+    ///    remainder is below `(k-1)β^{k-1} < R` (for `k - 1 < β = 2^r`,
+    ///    true at every admissible point), and `D = D̂ + E` is divisible
+    ///    by `R`, so `D/R = floor(D̂/R) + [D̂ mod R ≠ 0]`.
+    ///
+    /// `U = T_hi + S_hi + D/R = (T + m·n)/R < 2n`; the shared conditional
+    /// subtraction makes it bit-identical to the classic reduction.
     fn reduce_truncated<B: VectorBackend>(&self, traw: &[Pair<B>]) -> GenBatch {
         let k = self.k;
         let kk = k + 1;
@@ -476,8 +515,8 @@ impl GenMontCtx {
     /// column, no truncation), then `U = (T + S) / R` — the division is
     /// exact, so the low `k` columns of the normalized sum are zero and
     /// `U` is simply the high digits. Costs ~`k²/2` more lane products
-    /// than the truncated form; the tuner keeps it in the space as the
-    /// honest baseline shape (and the search should discover it losing).
+    /// than the truncated form; it is `MontVariant::Classic`'s kernel and
+    /// the only reduction a single-digit modulus can run.
     fn reduce_classic<B: VectorBackend>(&self, traw: &[Pair<B>]) -> GenBatch {
         let k = self.k;
         let maskv = B::V64::splat(self.mask);
@@ -583,31 +622,38 @@ impl GenMontCtx {
 
     /// Sixteen exponentiations `base[j]^exp mod n` with one shared
     /// exponent through the generated fixed-window ladder, at this
-    /// context's window width. Bit-identical to
-    /// [`crate::BatchMont::mod_exp_16`] and the scalar oracle.
+    /// context's window width. Bit-identical to the scalar oracle.
     pub fn mod_exp_16(&self, bases: &[BigUint], exp: &BigUint) -> Vec<BigUint> {
-        with_backend!(self.backend, B => self.mod_exp_16_generic::<B>(bases, exp))
+        self.mod_exp_16_window(bases, exp, self.params.window)
+    }
+
+    /// [`mod_exp_16`](Self::mod_exp_16) at an explicit window width.
+    pub(crate) fn mod_exp_16_window(
+        &self,
+        bases: &[BigUint],
+        exp: &BigUint,
+        window: u32,
+    ) -> Vec<BigUint> {
+        assert_eq!(bases.len(), BATCH_WIDTH);
+        assert!((1..=7).contains(&window));
+        with_backend!(self.backend, B => self.mod_exp_16_generic::<B>(bases, exp, window))
     }
 
     fn mod_exp_16_generic<B: VectorBackend>(
         &self,
         bases: &[BigUint],
         exp: &BigUint,
+        window: u32,
     ) -> Vec<BigUint> {
         let _span = phi_trace::span(phi_trace::Scope::BatchExp);
-        assert_eq!(bases.len(), BATCH_WIDTH);
         if self.n.is_one() {
             return vec![BigUint::zero(); BATCH_WIDTH];
         }
         if exp.is_zero() {
             return vec![BigUint::one(); BATCH_WIDTH];
         }
-        let window = self.params.window;
 
-        // Batched domain entry: one 16-lane multiply by the broadcast R².
-        let raw = self.to_batch_impl::<B>(bases);
-        let rr_b = self.splat_batch::<B>(&self.rr_digits);
-        let base_m = self.mont_mul_16_generic::<B>(&raw, &rr_b);
+        let base_m = self.enter_mont_impl::<B>(bases);
 
         // table[v] = batch of base^v in the Montgomery domain.
         let one_b = self.splat_batch::<B>(&self.one_mont_digits);
@@ -641,6 +687,63 @@ impl GenMontCtx {
         let out = self.mont_mul_16_generic::<B>(&acc, &one_raw);
         self.unbatch_impl::<B>(&out)
     }
+
+    /// Sixteen power-equality checks at once: `out[j] = (base[j]^exp ≡
+    /// expected[j] (mod n))`, with one shared exponent.
+    ///
+    /// This is the release check of the verified offload path (DESIGN.md
+    /// §3.14): `m^e ≡ c (mod n)` over a whole flush in one batched
+    /// ladder. Three things keep it cheaper than
+    /// [`mod_exp_16`](Self::mod_exp_16):
+    ///
+    /// * plain square-and-multiply over the exponent's actual bits — for
+    ///   a sparse public exponent like 65537 that is 16 squarings plus
+    ///   one multiplication, where a fixed-window ladder would multiply
+    ///   on every window;
+    /// * batched domain entry: `base` and `expected` each enter the
+    ///   Montgomery domain through one 16-lane multiplication by R²;
+    /// * the comparison happens *in* the Montgomery domain (x ↦ x·R is
+    ///   injective mod n), digit column by digit column, so there is no
+    ///   domain exit at all.
+    ///
+    /// Both sides are reduced mod `n` on entry, so a caller that must
+    /// reject unreduced values checks them itself. Lanes padded with
+    /// `base = expected = 0` compare equal. The caller wraps the call in
+    /// whatever trace scope fits (the resilient runtime uses
+    /// `Scope::Verify`); no span is opened here.
+    pub fn pow_eq_16(&self, bases: &[BigUint], exp: &BigUint, expected: &[BigUint]) -> Vec<bool> {
+        assert_eq!(bases.len(), BATCH_WIDTH);
+        assert_eq!(expected.len(), BATCH_WIDTH);
+        assert!(!exp.is_zero(), "a power check needs a nonzero exponent");
+        with_backend!(self.backend, B => self.pow_eq_16_generic::<B>(bases, exp, expected))
+    }
+
+    fn pow_eq_16_generic<B: VectorBackend>(
+        &self,
+        bases: &[BigUint],
+        exp: &BigUint,
+        expected: &[BigUint],
+    ) -> Vec<bool> {
+        let base_m = self.enter_mont_impl::<B>(bases);
+        let mut acc = base_m.clone();
+        let bits = exp.bit_length();
+        for i in (0..bits - 1).rev() {
+            acc = self.mont_sqr_16_generic::<B>(&acc);
+            if exp.extract_bits(i, 1) == 1 {
+                acc = self.mont_mul_16_generic::<B>(&acc, &base_m);
+            }
+        }
+        let want_m = self.enter_mont_impl::<B>(expected);
+        // One lane-wise compare-and-accumulate per digit column.
+        let mut equal = [true; BATCH_WIDTH];
+        for (got, want) in acc.cols.iter().zip(&want_m.cols) {
+            B::record(OpClass::VAlu, 2);
+            for j in 0..BATCH_WIDTH {
+                equal[j] &= got[j] == want[j];
+            }
+        }
+        equal.to_vec()
+    }
 }
 
 /// Widen a batch's columns into u64 half-pairs (free register plumbing;
@@ -670,15 +773,20 @@ fn assert_zero_pair<B: VectorBackend>(_p: &Pair<B>, _what: &str) {}
 /// Slice a value into `len` radix-`2^r` digits (host-side entry pass,
 /// charged like [`crate::radix::VecNum::from_biguint`]).
 fn decompose(a: &BigUint, r: u32, len: usize) -> Vec<u64> {
+    record(OpClass::SAlu, 3 * len as u64);
+    record(OpClass::SMem, len as u64);
+    slice_digits(a, r, len)
+}
+
+/// [`decompose`] without the charge, for constants derived outside any
+/// kernel.
+fn slice_digits(a: &BigUint, r: u32, len: usize) -> Vec<u64> {
     debug_assert!(
         a.bit_length() as usize <= len * r as usize,
         "value of {} bits does not fit in {len} radix-2^{r} digits",
         a.bit_length()
     );
-    let out: Vec<u64> = (0..len).map(|i| a.extract_bits(i as u32 * r, r)).collect();
-    record(OpClass::SAlu, 3 * len as u64);
-    record(OpClass::SMem, len as u64);
-    out
+    (0..len).map(|i| a.extract_bits(i as u32 * r, r)).collect()
 }
 
 /// Pack radix-`2^r` digits back into a big integer (the symmetric exit
@@ -912,8 +1020,7 @@ mod tests {
     fn wider_radix_beats_the_static_defaults_at_256_bits() {
         // The headline claim the tuner banks on: at a 256-bit modulus
         // (the 512-bit key's CRT half), radix 2^29 needs 9 digits where
-        // 2^27 needs 10, and the generated ladder at unroll 8 beats the
-        // hand-written truncated ladder even while paying loop control.
+        // 2^27 needs 10, so its ladder beats the static point's.
         let n = n256();
         let exp = BigUint::from_hex("ffffffffffffffffffffffffffffffff").unwrap();
         let bases = sixteen(&n, 13);

@@ -19,19 +19,17 @@
 //! * [`vexp`] — fixed-window Montgomery exponentiation over the vector
 //!   kernel, with an optional constant-time table gather.
 //! * [`batch`] — the second vectorization axis: sixteen *independent*
-//!   Montgomery multiplications, one per 32-bit lane (for batch-shaped
-//!   server loads).
-//! * [`truncated`] — the truncated-separated Montgomery reduction over
-//!   the same 16-lane SoA layout (elided low partial products plus an
-//!   exact correction; bit-identical, fewer modeled cycles), selected via
-//!   [`PhiConfig`]'s [`MontVariant`].
+//!   Montgomery multiplications, one per lane (for batch-shaped server
+//!   loads). [`BatchMont`] wraps a [`VMontCtx`] for it.
 //! * [`crt`] — CRT decomposition/recombination for private-key operations.
 //! * [`params`] — [`KernelParams`]: the kernel design space (radix,
 //!   window, reduction variant, unroll, occupancy) with overflow-derived
 //!   admissibility rules.
-//! * [`genmont`] — [`GenMontCtx`]: generated batch Montgomery kernels
-//!   executing any admissible parameter point, bit-identical to the
-//!   static kernels across the whole space.
+//! * [`genmont`] — [`GenMontCtx`]: the generated 16-lane kernels for
+//!   ladders that share one modulus, executing any admissible parameter
+//!   point with the classic or the truncated-separated reduction
+//!   (selected via [`PhiConfig`]'s [`MontVariant`]); bit-identical across
+//!   the whole space.
 //! * [`tuning`] — [`TuningTable`]: the committed autotuner result
 //!   (`bench/tuning.json`, searched by the `phi-tune` crate on the
 //!   deterministic modeled channel), dispatched via [`PhiConfig`]'s
@@ -41,8 +39,8 @@
 //!
 //! Every kernel is generic over a [`VectorBackend`] (from `phi-backend`):
 //! [`ModeledKnc`] replays the paper's KNC cost model with exact operation
-//! counting, while [`NativeX86`] executes the same lane semantics with
-//! real AVX-512/AVX2 instructions. Select one via
+//! counting, while [`NativeX86`] executes the same lane semantics on the
+//! host's SIMD unit. Select one via
 //! `PhiConfig::builder().backend(Backend::Auto)`.
 //!
 //! ## Example
@@ -78,7 +76,6 @@ pub mod genmont;
 pub mod library;
 pub mod params;
 pub mod radix;
-pub mod truncated;
 pub mod tuning;
 pub mod vexp;
 pub mod vmont;
@@ -97,7 +94,6 @@ pub use phi_backend::{
 };
 pub use phi_rt::{FleetConfig, RoutingPolicy};
 pub use radix::{VecNum, DIGIT_BITS, DIGIT_MASK};
-pub use truncated::{mod_exp_soa, mont_mul_soa, SoaMontEngine};
 pub use tuning::{TunedEntry, Tuning, TuningTable};
 pub use vexp::TableLookup;
 pub use vmont::VMontCtx;

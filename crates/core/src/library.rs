@@ -2,7 +2,6 @@
 //! two scalar baselines, so benchmarks and RSA code treat all three
 //! uniformly.
 
-use crate::truncated::{mod_exp_soa, SoaMontEngine};
 use crate::tuning::Tuning;
 use crate::vexp::{mod_exp_vec, TableLookup, DEFAULT_WINDOW};
 use crate::vmont::VMontCtx;
@@ -59,41 +58,32 @@ impl From<BackendUnavailable> for ConfigError {
     }
 }
 
-/// Which Montgomery reduction kernel the 16-lane engines run.
+/// Which Montgomery reduction the 16-lane generated kernels run.
 ///
 /// Every variant produces **bit-identical** results (the phi-conformance
-/// `mont-truncated` family proves it continuously); the choice is purely
+/// `kernel-params` family proves it continuously); the choice is purely
 /// a cost trade documented in DESIGN.md §3.12 and measured by E18.
+/// Single operations always run the intra-operand [`VMontCtx`] kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MontVariant {
-    /// The classic interleaved-CIOS batch kernel everywhere.
+    /// The classic separated reduction: the full `m·n` product.
     Classic,
-    /// The truncated-separated kernel everywhere it applies — including
-    /// scalar-shaped single operations, which are routed through the
-    /// 16-lane SoA layout at occupancy 1.
+    /// The truncated-separated reduction: the low columns of `m·n` are
+    /// elided and recovered by an exact correction. Single-digit moduli
+    /// run the classic reduction.
     Truncated,
-    /// Truncated kernels on the batch/exponentiation paths (where they
-    /// win), classic kernels for scalar-shaped single multiplies (where
-    /// occupancy-1 SoA padding would waste 15 lanes). The default.
+    /// The same kernels as `Truncated`. The default.
     #[default]
     Auto,
 }
 
 impl MontVariant {
-    /// Whether 16-lane batch multiplies take the truncated kernel for a
-    /// `k`-digit modulus. Single-digit moduli always run classic: the
-    /// truncation boundary column `s_{k-2}` does not exist for `k < 2`.
-    pub(crate) fn batch_truncated(self, k: usize) -> bool {
+    /// The concrete reduction a generated kernel runs for this choice.
+    pub(crate) fn reduction(self) -> MontVariant {
         match self {
-            MontVariant::Classic => false,
-            MontVariant::Truncated | MontVariant::Auto => k >= 2,
+            MontVariant::Classic => MontVariant::Classic,
+            MontVariant::Truncated | MontVariant::Auto => MontVariant::Truncated,
         }
-    }
-
-    /// Whether scalar-shaped single operations reroute through the SoA
-    /// occupancy-1 path.
-    pub(crate) fn single_soa(self) -> bool {
-        self == MontVariant::Truncated
     }
 }
 
@@ -114,7 +104,7 @@ pub struct PhiConfig {
     pub lookup: TableLookup,
     /// Which vector backend the kernels execute on.
     pub backend: Backend,
-    /// Which Montgomery reduction variant the engines run.
+    /// Which Montgomery reduction the 16-lane batch kernels run.
     pub mont_variant: MontVariant,
     /// Shape of the card fleet batch work offloads to. The default is a
     /// single card, which reproduces the pre-fleet stack bit-for-bit;
@@ -128,9 +118,9 @@ pub struct PhiConfig {
     /// default; see DESIGN.md §3.14.
     pub verified: bool,
     /// How kernel parameters are chosen per modulus size: the static
-    /// hand-picked defaults (bit- and cycle-identical to the pre-tuning
-    /// stack, the default), the committed `bench/tuning.json` table, or
-    /// the permissive auto policy. See DESIGN.md §3.15.
+    /// point [`KernelParams::static_defaults`](crate::KernelParams::static_defaults)
+    /// (the default), the committed `bench/tuning.json` table, or the
+    /// permissive auto policy. See DESIGN.md §3.15.
     pub tuning: Tuning,
 }
 
@@ -258,10 +248,10 @@ impl PhiConfigBuilder {
     }
 
     /// Select how kernel parameters are picked per modulus size (default
-    /// [`Tuning::Static`] — the pre-tuning behavior, bit- and
-    /// cycle-identical). [`Tuning::Table`] applies the committed
-    /// `bench/tuning.json` winners; every table entry is bit-identical
-    /// to the static kernels (the `tuned` conformance family proves it).
+    /// [`Tuning::Static`] — the static parameter point).
+    /// [`Tuning::Table`] applies the committed `bench/tuning.json`
+    /// winners; every table entry is bit-identical to the static point
+    /// (the `kernel-params` conformance family proves it).
     pub fn tuning(mut self, tuning: Tuning) -> Self {
         self.config.tuning = tuning;
         self
@@ -308,12 +298,10 @@ impl Libcrypto for PhiLibrary {
     }
 
     fn make_engine(&self, n: &BigUint) -> Result<Box<dyn MontEngine + Send + Sync>, BigIntError> {
-        let backend = self.config.backend.resolve();
-        if self.config.mont_variant.single_soa() {
-            Ok(Box::new(SoaMontEngine::with_backend(n, backend)?))
-        } else {
-            Ok(Box::new(VMontCtx::with_backend(n, backend)?))
-        }
+        Ok(Box::new(VMontCtx::with_backend(
+            n,
+            self.config.backend.resolve(),
+        )?))
     }
 
     fn strategy_for(&self, _bits: u32) -> ExpStrategy {
@@ -325,21 +313,6 @@ impl Libcrypto for PhiLibrary {
         // precomputed n'/R² tables, so the session still counts as a
         // single setup.
         let PhiConfig { window, lookup, .. } = self.config;
-        if self.config.mont_variant.single_soa() {
-            // Scalar-shaped calls reuse the 16-lane SoA engine at
-            // occupancy 1. The batch ladder indexes its window table
-            // directly (no constant-time gather), so `lookup` does not
-            // apply on this path.
-            let engine = SoaMontEngine::with_backend(n, self.config.backend.resolve())?;
-            let exp_ctx = engine.ctx().clone();
-            return Ok(ModulusSession::new(
-                self.name(),
-                Box::new(engine),
-                ExpPolicy::Custom(Box::new(move |base, exp| {
-                    mod_exp_soa(&exp_ctx, base, exp, window)
-                })),
-            ));
-        }
         let ctx = VMontCtx::with_backend(n, self.config.backend.resolve())?;
         let exp_ctx = ctx.clone();
         Ok(ModulusSession::new(

@@ -10,10 +10,11 @@
 //! staleness.
 //!
 //! The dispatch policy is deliberately conservative: [`Tuning::Static`]
-//! (the default) never consults the table and is bit- and cycle-identical
-//! to the pre-tuning stack; [`Tuning::Table`] applies committed winners
-//! exactly; [`Tuning::Auto`] does the same but tolerates missing or
-//! inapplicable entries by falling back to the static kernels.
+//! (the default) never consults the table and runs the static parameter
+//! point, [`KernelParams::static_defaults`]; [`Tuning::Table`] applies
+//! committed winners exactly; [`Tuning::Auto`] does the same but
+//! tolerates missing or inapplicable entries by falling back to the
+//! static point.
 
 use crate::library::MontVariant;
 use crate::params::KernelParams;
@@ -30,9 +31,9 @@ const COMMITTED_TABLE: &str = include_str!("../../../bench/tuning.json");
 /// How the library picks kernel parameters per modulus size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tuning {
-    /// Never consult the table: always the hand-written kernels with
-    /// their hand-picked parameters. Bit- and cycle-identical to the
-    /// pre-tuning stack (the perfgate baseline is pinned to this).
+    /// Never consult the table: always the static parameter point,
+    /// [`KernelParams::static_defaults`] (the perfgate baseline is
+    /// pinned to this).
     #[default]
     Static,
     /// Apply the committed table exactly: a modulus whose size maps to a
@@ -41,7 +42,7 @@ pub enum Tuning {
     Table,
     /// Like `Table`, but permissive: missing entries, unknown backends
     /// and inapplicable parameter points silently fall back to the
-    /// static kernels instead of asserting.
+    /// static point instead of asserting.
     Auto,
 }
 
@@ -84,11 +85,10 @@ impl std::error::Error for TuningError {}
 /// Which kernel won the search for one (key size, backend) cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Winner {
-    /// A generated [`KernelParams`] point beat the static kernels.
+    /// A searched [`KernelParams`] point beat the static point.
     Generated,
-    /// The hand-written kernels won; `params` records the searched
-    /// best-generated point for the staleness check, but dispatch stays
-    /// on the static path.
+    /// The static point won; `params` records the searched best point
+    /// for the staleness check, but dispatch stays on the static point.
     Static,
 }
 
@@ -104,8 +104,8 @@ pub struct TunedEntry {
     pub winner: Winner,
     /// The best generated parameter point found by the search.
     pub params: KernelParams,
-    /// Modeled cycles of one full-occupancy batch ladder pass on the
-    /// static kernels (per CRT half).
+    /// Modeled cycles of one full-occupancy batch ladder pass at the
+    /// static point (per CRT half).
     pub cycles_static: f64,
     /// Modeled cycles of the same pass on the winning generated point.
     pub cycles_tuned: f64,
@@ -113,7 +113,7 @@ pub struct TunedEntry {
 
 impl TunedEntry {
     /// The generated parameter point to run, or `None` when the static
-    /// kernels won this cell.
+    /// point won this cell.
     pub fn generated_params(&self) -> Option<KernelParams> {
         match self.winner {
             Winner::Generated => Some(self.params),
@@ -240,7 +240,7 @@ impl TuningTable {
 
     /// The generated parameter point a modulus should run under the
     /// given policy, already re-validated against the *actual* modulus
-    /// size — `None` means "stay on the static kernels".
+    /// size — `None` means "stay on the static point".
     pub fn params_for_modulus(
         &self,
         tuning: Tuning,

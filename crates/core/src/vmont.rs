@@ -54,8 +54,9 @@ pub struct VMontCtx {
     n_vec: VecNum,
     /// `-n⁻¹ mod 2^27`.
     n0_inv: u64,
-    /// `N' = -n⁻¹ mod R` in padded digit form (the truncated kernel
-    /// multiplies by the full-width inverse instead of digit-by-digit).
+    /// `N' = -n⁻¹ mod R` in padded digit form (the generated batch
+    /// kernels multiply by the full-width inverse instead of
+    /// digit-by-digit).
     nprime_digits: Vec<u64>,
     /// `R² mod n` in vector form, for entering the domain.
     rr_vec: VecNum,
@@ -135,12 +136,12 @@ impl VMontCtx {
         &self.n_digits
     }
 
-    /// `N' = -n⁻¹ mod R` in padded digit form (truncated kernel input).
+    /// `N' = -n⁻¹ mod R` in padded digit form (batch kernel input).
     pub(crate) fn nprime_digits(&self) -> &[u64] {
         &self.nprime_digits
     }
 
-    /// `R² mod n` in vector form (shared with the SoA single-op engine).
+    /// `R² mod n` in vector form (shared with the batch kernels).
     pub(crate) fn rr_vec(&self) -> &VecNum {
         &self.rr_vec
     }

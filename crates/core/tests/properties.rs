@@ -4,7 +4,7 @@
 
 use phi_bigint::BigUint;
 use phi_mont::{MontCtx64, MontEngine};
-use phiopenssl::batch::{Batch16, BatchMont, BATCH_WIDTH};
+use phiopenssl::batch::{BatchMont, BATCH_WIDTH};
 use phiopenssl::vexp::{mod_exp_vec, TableLookup};
 use phiopenssl::vmul::{big_mul_vectorized, vec_mul, vec_sqr};
 use phiopenssl::{VMontCtx, VecNum, DIGIT_BITS};
@@ -121,15 +121,13 @@ proptest! {
         seeds in proptest::collection::vec(any::<u64>(), BATCH_WIDTH),
     ) {
         let ctx = VMontCtx::new(&n).unwrap();
-        let bm = BatchMont::new(&ctx);
-        let vals: Vec<VecNum> = seeds
-            .iter()
-            .map(|&s| ctx.to_vec_form(&(&BigUint::from(s) % &n)))
-            .collect();
-        let batch = Batch16::transpose_from(&vals);
-        let got = bm.mont_mul_16(&batch, &batch).transpose_out();
+        let kernel = BatchMont::new(&ctx).kernel().clone();
+        let plain: Vec<BigUint> = seeds.iter().map(|&s| &BigUint::from(s) % &n).collect();
+        let batch = kernel.to_batch(&plain);
+        let got = kernel.from_batch(&kernel.mont_mul_16(&batch, &batch));
         for j in 0..BATCH_WIDTH {
-            prop_assert_eq!(&got[j], &ctx.mont_mul_vec(&vals[j], &vals[j]), "lane {}", j);
+            let v = ctx.to_vec_form(&plain[j]);
+            prop_assert_eq!(&got[j], &ctx.mont_mul_vec(&v, &v).to_biguint(), "lane {}", j);
         }
     }
 
@@ -190,29 +188,16 @@ proptest! {
         let mut vals: Vec<BigUint> =
             vec![BigUint::zero(), BigUint::one(), &n - &BigUint::one()];
         vals.extend(seeds[3..].iter().map(|&s| &BigUint::from(s) % &n));
-        let vecs: Vec<VecNum> = vals.iter().map(|v| ctx.to_vec_form(v)).collect();
-        let batch = Batch16::transpose_from(&vecs);
         let classic = BatchMont::with_variant(&ctx, MontVariant::Classic);
         let truncated = BatchMont::with_variant(&ctx, MontVariant::Truncated);
-        let got_c = classic.mont_mul_16(&batch, &batch).transpose_out();
-        let got_t = truncated.mont_mul_16(&batch, &batch).transpose_out();
+        let (kc, kt) = (classic.kernel(), truncated.kernel());
+        let (bc, bt) = (kc.to_batch(&vals), kt.to_batch(&vals));
+        let got_c = kc.from_batch(&kc.mont_mul_16(&bc, &bc));
+        let got_t = kt.from_batch(&kt.mont_mul_16(&bt, &bt));
         prop_assert_eq!(&got_c, &got_t);
         // The dedicated squaring path answers the same question.
-        let got_sq = truncated.mont_sqr_16(&batch).transpose_out();
+        let got_sq = kt.from_batch(&kt.mont_sqr_16(&bt));
         prop_assert_eq!(&got_t, &got_sq);
-    }
-
-    #[test]
-    fn soa_single_op_matches_positional_kernel(
-        n in odd_modulus(),
-        a in value(),
-        b in value(),
-    ) {
-        let ctx = VMontCtx::new(&n).unwrap();
-        let av = ctx.to_mont_vec(&(&a % &n));
-        let bv = ctx.to_mont_vec(&(&b % &n));
-        let soa = phiopenssl::mont_mul_soa(&ctx, &av, &bv);
-        prop_assert_eq!(soa.to_biguint(), ctx.mont_mul_vec(&av, &bv).to_biguint());
     }
 
     #[test]

@@ -149,9 +149,8 @@ impl MontCtx64 {
     /// part of `m·n`, and `2k-1` for the two correction boundary columns —
     /// `2k² + 2k - 1` in total, versus `2k² + k` for classic CIOS. The
     /// scalar variant is roughly op-neutral (it exists as the bit-exact
-    /// oracle); the win is in the vectorized SoA kernel, where the comba
-    /// column scan keeps accumulators register-resident and the epilogue
-    /// stays lane-parallel.
+    /// oracle); the win is in the generated 16-lane kernel, where the
+    /// elided triangle is saved in every lane at once.
     fn record_truncated_ops(&self) {
         let k = self.k as u64;
         record(OpClass::SMul64, 2 * k * k + 2 * k - 1);

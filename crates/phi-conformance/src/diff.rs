@@ -1029,78 +1029,156 @@ fn check_fleet(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
     cases
 }
 
-/// The truncated-separated Montgomery reduction (DESIGN.md §3.12) vs
-/// the classic CIOS kernels, scalar and vector, on adversarial inputs.
+/// Every 16-lane generated kernel point vs the scalar oracle: one sweep
+/// over [`KernelParams`](phiopenssl::KernelParams) on adversarial inputs.
 ///
-/// The truncated variant elides low partial products and repairs the
-/// carry-out with an exact correction, so its admissibility claim is
-/// strict bit-identity. This family stresses exactly where that claim
-/// could crack: top-limb-dense moduli `2^bits - d` (the boundary columns
-/// of the elided triangle saturate), correction-boundary operands (0, 1,
-/// n-1: the shapes that pin `D̂ mod R` to zero or the conditional
-/// subtract to its edge), every window width, the scalar truncated
-/// kernel in `phi_mont`, the single-op SoA path, and — when the host has
-/// AVX2 — the native-backend truncated kernel lane for lane.
-fn check_mont_truncated(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
-    const NAME: &str = "mont-truncated";
-    use phiopenssl::MontVariant;
-    let cases = (cfg.cases / 2).max(2) as u64;
+/// The truncated reduction (DESIGN.md §3.12) elides low partial products
+/// and repairs the carry-out with an exact correction, and every radix
+/// and unroll factor reshapes the column loops, so the admissibility
+/// claim is strict bit-identity. Each case draws top-limb-dense moduli
+/// `2^bits - d` every third time (the boundary columns of the elided
+/// triangle saturate), puts the correction-boundary operands (n-1, 0, 1)
+/// first among `occupancy` live lanes (cycling 1–16, dead lanes padded
+/// with 1 like `private_op_masked`), and checks the static point through
+/// `BatchMont` in both reductions. Two case kinds follow:
+///
+/// * **sweep** cases, on the profile's bit ladder up to 512 bits: the
+///   classic and the truncated reduction at every admissible radix, at
+///   the case's unroll factor and window (cycling through all four and
+///   1–7), plus the scalar truncated kernel in `phi_mont` and — when the
+///   host has AVX2 — the native backend;
+/// * **table** cases: every committed tuning-table entry at its true CRT
+///   half size (the table governs real key sizes, so that is where it
+///   must be proven), in both reductions, with the exponent length
+///   scaled by the profile budget.
+fn check_kernel_params(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
+    const NAME: &str = "kernel-params";
+    use phiopenssl::params::UNROLL_FACTORS;
+    use phiopenssl::{GenMontCtx, KernelParams, MontVariant, TuningTable};
+    const VARIANTS: [MontVariant; 2] = [MontVariant::Classic, MontVariant::Truncated];
+    // One distinct table cell per key size: the backend columns share the
+    // searched parameter point.
+    let mut entries: Vec<&phiopenssl::TunedEntry> = Vec::new();
+    for e in &TuningTable::committed().entries {
+        if entries.iter().all(|x| x.key_bits != e.key_bits) {
+            entries.push(e);
+        }
+    }
+    let sweep = (cfg.cases / 2).max(2) as u64;
+    let cases = sweep + (cfg.cases / 2).max(entries.len()) as u64;
     let inj = cfg.injected_case(NAME, cases);
     let mut g = cfg.gen_for(NAME);
     let ladder = cfg.bits_ladder();
     let native = CpuFeatures::detect().avx2;
     for case in 0..cases {
-        let bits = ladder[case as usize % ladder.len()].min(512);
-        // Every third case pins the modulus to the dense-top-limb corner
-        // 2^bits - d: every high digit saturated, the shape that maxes
-        // out the boundary columns s_{k-2}, s_{k-1} of the correction.
+        let entry = case
+            .checked_sub(sweep)
+            .map(|i| entries[i as usize % entries.len()]);
+        let bits = match entry {
+            Some(e) => e.key_bits / 2,
+            None => ladder[case as usize % ladder.len()].min(512),
+        };
         let n = if case % 3 == 0 {
             let d = 2 * g.below(1 << 20) + 1;
             &(&BigUint::one() << bits) - &BigUint::from(d)
         } else {
             g.odd_modulus(bits)
         };
-        let ctx = VMontCtx::new(&n).expect("odd modulus");
-        let classic = BatchMont::with_variant(&ctx, MontVariant::Classic);
-        let truncated = BatchMont::with_variant(&ctx, MontVariant::Truncated);
-
-        // Correction-boundary lanes (0, 1, n-1) alongside random residues.
-        let mut bases: Vec<BigUint> = vec![BigUint::zero(), BigUint::one(), &n - &BigUint::one()];
-        while bases.len() < 16 {
+        let occ = 1 + (case as usize % 16);
+        let mut bases: Vec<BigUint> = vec![&n - &BigUint::one(), BigUint::zero(), BigUint::one()];
+        bases.truncate(occ);
+        while bases.len() < occ {
             bases.push(g.residue(&n));
         }
-        let exp = g.exponent(bits);
-        let window = 1 + (case % 7) as u32;
-        let got_c = classic.mod_exp_16(&bases, &exp, window);
-        let mut got_t = truncated.mod_exp_16(&bases, &exp, window);
+        bases.resize(16, BigUint::one());
+        let points: Vec<KernelParams> = match entry {
+            Some(e) => VARIANTS
+                .iter()
+                .map(|&variant| KernelParams {
+                    variant,
+                    ..e.params
+                })
+                .collect(),
+            None => {
+                let base = KernelParams {
+                    window: 1 + (case % 7) as u32,
+                    unroll: UNROLL_FACTORS[case as usize % UNROLL_FACTORS.len()],
+                    ..KernelParams::static_defaults()
+                };
+                KernelParams::admissible_radices(bits)
+                    .into_iter()
+                    .flat_map(|radix_bits| {
+                        VARIANTS.iter().map(move |&variant| KernelParams {
+                            radix_bits,
+                            variant,
+                            ..base
+                        })
+                    })
+                    .collect()
+            }
+        };
+        let window = points[0].window;
+        // Exponent length scales down with the half size so that a table
+        // case's ladder work stays within the profile budget; the window
+        // table (the 2^w - 1 multiplies) runs in full either way.
+        let exp = g.exponent(match entry {
+            Some(_) => (bits.min(cfg.max_bits) / (bits / 256).max(1)).max(48),
+            None => bits,
+        });
+
+        let ctx = VMontCtx::new(&n).expect("odd modulus");
+        let mut results: Vec<(String, Vec<BigUint>)> = VARIANTS
+            .iter()
+            .map(|&v| {
+                let got = BatchMont::with_variant(&ctx, v).mod_exp_16(&bases, &exp, window);
+                (format!("static point {v:?}"), got)
+            })
+            .collect();
+        for p in &points {
+            let label = format!("radix={} {:?} unroll={}", p.radix_bits, p.variant, p.unroll);
+            match GenMontCtx::new(&n, *p, ResolvedBackend::ModeledKnc) {
+                Ok(gctx) => results.push((label, gctx.mod_exp_16(&bases, &exp))),
+                Err(e) => out.push(Divergence {
+                    kernel: NAME,
+                    seed: cfg.seed,
+                    case,
+                    detail: format!("{label} rejected a {bits}-bit modulus: {e}"),
+                }),
+            }
+        }
+        if native && entry.is_none() {
+            let ctx_n =
+                VMontCtx::with_backend(&n, ResolvedBackend::NativeX86).expect("odd modulus");
+            let got = BatchMont::with_variant(&ctx_n, MontVariant::Truncated)
+                .mod_exp_16(&bases, &exp, window);
+            results.push(("native static point Truncated".into(), got));
+        }
         if let Some(i) = inj.filter(|&i| i == case) {
             let lane = (i % 16) as usize;
-            got_t[lane] = &got_t[lane] + &BigUint::one();
+            let got = &mut results[0].1[lane];
+            *got = &*got + &BigUint::one();
         }
-        let mut bad = false;
-        for lane in 0..16usize {
-            let want = bases[lane].mod_exp(&exp, &n);
-            if got_t[lane] != want || got_c[lane] != want {
-                bad = true;
+        let want: Vec<BigUint> = bases.iter().map(|b| b.mod_exp(&exp, &n)).collect();
+        for (label, got) in &results {
+            if let Some(lane) = (0..16).find(|&j| got[j] != want[j]) {
                 out.push(Divergence {
                     kernel: NAME,
                     seed: cfg.seed,
                     case,
                     detail: format!(
-                        "lane={lane} window={window}: {}",
+                        "{label} occ={occ} window={window} lane={lane}: {}",
                         dump(&[
                             ("n", &n),
                             ("base", &bases[lane]),
                             ("exp", &exp),
-                            ("truncated", &got_t[lane]),
-                            ("classic", &got_c[lane]),
-                            ("want", &want)
+                            ("got", &got[lane]),
+                            ("want", &want[lane])
                         ])
                     ),
                 });
             }
         }
-        if bad {
+        if entry.is_some() {
             continue;
         }
 
@@ -1143,47 +1221,6 @@ fn check_mont_truncated(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
                     dump(&[("n", &n), ("t", &raw)])
                 ),
             });
-        }
-
-        // The single-op SoA path (scalar-shaped call through the 16-lane
-        // engine) vs the ladder oracle.
-        let soa = phiopenssl::mod_exp_soa(&ctx, &a, &exp, window);
-        let want_exp = a.mod_exp(&exp, &n);
-        if soa != want_exp {
-            out.push(Divergence {
-                kernel: NAME,
-                seed: cfg.seed,
-                case,
-                detail: format!(
-                    "mod_exp_soa window={window}: {}",
-                    dump(&[
-                        ("n", &n),
-                        ("base", &a),
-                        ("exp", &exp),
-                        ("got", &soa),
-                        ("want", &want_exp)
-                    ])
-                ),
-            });
-        }
-
-        // Native tier, lane for lane, when the host offers one.
-        if native {
-            let ctx_n =
-                VMontCtx::with_backend(&n, ResolvedBackend::NativeX86).expect("odd modulus");
-            let got_n = BatchMont::with_variant(&ctx_n, MontVariant::Truncated)
-                .mod_exp_16(&bases, &exp, window);
-            if got_n != got_c {
-                out.push(Divergence {
-                    kernel: NAME,
-                    seed: cfg.seed,
-                    case,
-                    detail: format!(
-                        "native truncated batch disagrees, window={window}: {}",
-                        dump(&[("n", &n), ("exp", &exp)])
-                    ),
-                });
-            }
         }
     }
     cases
@@ -1424,139 +1461,6 @@ fn check_verified(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
     cases
 }
 
-/// Every committed tuning-table entry's generated kernel vs the scalar
-/// oracle and the classic 16-lane batch ladder, on adversarial moduli at
-/// the entry's CRT-half size across occupancies 1–16 (dead lanes padded
-/// with 1, the engine's masking value). Runs at the entries' true sizes
-/// regardless of the profile's bit ladder — the table governs real key
-/// sizes, so that is where it must be proven — with the exponent length
-/// scaled by the profile budget.
-fn check_tuned(cfg: &DiffConfig, out: &mut Vec<Divergence>) -> u64 {
-    const NAME: &str = "tuned";
-    use phiopenssl::{GenMontCtx, KernelParams, MontVariant, TuningTable};
-    // One distinct cell per key size: the backend columns share the
-    // searched parameter point.
-    let table = TuningTable::committed();
-    let mut entries = Vec::new();
-    let mut seen = Vec::new();
-    for e in &table.entries {
-        if !seen.contains(&e.key_bits) {
-            seen.push(e.key_bits);
-            entries.push(e);
-        }
-    }
-    let cases = ((cfg.cases / 2).max(entries.len())) as u64;
-    let inj = cfg.injected_case(NAME, cases);
-    let mut g = cfg.gen_for(NAME);
-    for case in 0..cases {
-        let entry = entries[case as usize % entries.len()];
-        let bits = entry.key_bits / 2;
-        // Every third case pins the modulus to the dense-top corner
-        // 2^bits - d (every high digit saturated — the worst case for
-        // the generated carry/correction paths at any radix).
-        let n = if case % 3 == 0 {
-            let d = 2 * g.below(1 << 20) + 1;
-            &(&BigUint::one() << bits) - &BigUint::from(d)
-        } else {
-            g.odd_modulus(bits)
-        };
-        let params = entry.params;
-        let gctx = match GenMontCtx::new(&n, params, ResolvedBackend::ModeledKnc) {
-            Ok(c) => c,
-            Err(e) => {
-                out.push(Divergence {
-                    kernel: NAME,
-                    seed: cfg.seed,
-                    case,
-                    detail: format!(
-                        "committed entry for {} bits rejected its own half size: {e}",
-                        entry.key_bits
-                    ),
-                });
-                continue;
-            }
-        };
-        // Occupancy sweep: `occ` live lanes (correction-boundary values
-        // first, then random residues), the rest padded with 1 exactly
-        // like `private_op_masked`.
-        let occ = 1 + (case as usize % 16);
-        let mut bases: Vec<BigUint> = vec![&n - &BigUint::one(), BigUint::zero(), BigUint::one()];
-        bases.truncate(occ);
-        while bases.len() < occ {
-            bases.push(g.residue(&n));
-        }
-        bases.resize(16, BigUint::one());
-        // Exponent length scales down with the half size so that a run's
-        // total ladder work stays within the profile budget; the window
-        // table (the 2^w - 1 multiplies) runs in full either way.
-        let exp_bits = (bits.min(cfg.max_bits) / (bits / 256).max(1)).max(48);
-        let exp = g.exponent(exp_bits);
-        let ctx = VMontCtx::new(&n).expect("odd modulus");
-        let classic = BatchMont::with_variant(&ctx, MontVariant::Classic).mod_exp_16(
-            &bases,
-            &exp,
-            params.window,
-        );
-        let mut got = gctx.mod_exp_16(&bases, &exp);
-        if let Some(i) = inj.filter(|&i| i == case) {
-            let lane = (i % 16) as usize;
-            got[lane] = &got[lane] + &BigUint::one();
-        }
-        let mut bad = false;
-        for lane in 0..16usize {
-            let want = bases[lane].mod_exp(&exp, &n);
-            if got[lane] != want || classic[lane] != want {
-                bad = true;
-                out.push(Divergence {
-                    kernel: NAME,
-                    seed: cfg.seed,
-                    case,
-                    detail: format!(
-                        "entry {}b occ={occ} lane={lane} radix={} window={} unroll={}: {}",
-                        entry.key_bits,
-                        params.radix_bits,
-                        params.window,
-                        params.unroll,
-                        dump(&[
-                            ("n", &n),
-                            ("base", &bases[lane]),
-                            ("exp", &exp),
-                            ("generated", &got[lane]),
-                            ("classic", &classic[lane]),
-                            ("want", &want)
-                        ])
-                    ),
-                });
-            }
-        }
-        if bad {
-            continue;
-        }
-        // The generated *classic* reduction at the same radix must agree
-        // with the generated truncated one (both variants of the
-        // generator share everything but the reduction).
-        let cl_params = KernelParams {
-            variant: MontVariant::Classic,
-            ..params
-        };
-        if let Ok(cl) = GenMontCtx::new(&n, cl_params, ResolvedBackend::ModeledKnc) {
-            if cl.mod_exp_16(&bases, &exp) != classic {
-                out.push(Divergence {
-                    kernel: NAME,
-                    seed: cfg.seed,
-                    case,
-                    detail: format!(
-                        "generated classic reduction diverges at radix {}: {}",
-                        params.radix_bits,
-                        dump(&[("n", &n), ("exp", &exp)])
-                    ),
-                });
-            }
-        }
-    }
-    cases
-}
-
 /// The family names [`DiffConfig::inject`] accepts.
 pub const FAMILIES: &[&str] = &[
     "vmul",
@@ -1572,10 +1476,9 @@ pub const FAMILIES: &[&str] = &[
     "rsa-ops",
     "resilient",
     "fleet",
-    "mont-truncated",
+    "kernel-params",
     "backend-parity",
     "verified",
-    "tuned",
 ];
 
 /// Run every differential family under the given configuration.
@@ -1595,10 +1498,9 @@ pub fn run_all(cfg: &DiffConfig) -> DiffOutcome {
         check_rsa_ops,
         check_resilient,
         check_fleet,
-        check_mont_truncated,
+        check_kernel_params,
         check_backend_parity,
         check_verified,
-        check_tuned,
     ];
     debug_assert_eq!(checks.len(), FAMILIES.len());
     let mut cases = 0;

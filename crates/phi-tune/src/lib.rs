@@ -21,16 +21,16 @@
 //!    `ceil(e/w)` window multiplies, `ceil(e/w)·w` squarings plus
 //!    per-window extraction glue — all in measured cycles.
 //! 3. **Validate by measurement**: the analytic argmin and the static
-//!    default both run one real full ladder; the winner is decided on
-//!    those measured numbers (and the tuner asserts the two ladders
-//!    agree bit-for-bit while it is at it).
+//!    point ([`KernelParams::static_defaults`]) both run one real full
+//!    ladder; the winner is decided on those measured numbers (and the
+//!    tuner asserts the two ladders agree bit-for-bit while it is at it).
 //!
 //! Both backend columns of the table share the modeled cost oracle: the
 //! native backend executes identical lane semantics, so the modeled
 //! cycle ordering is the committable prediction (E21 reports native
 //! wall-clock alongside it). Occupancy is recorded at 16 — a batch pass
 //! costs the same at any fill level, so cost *per op* is maximized at
-//! full occupancy by construction; the `tuned` conformance family sweeps
+//! full occupancy by construction; the `kernel-params` conformance family sweeps
 //! occupancies 1–16 for correctness instead.
 
 #![forbid(unsafe_code)]
@@ -41,7 +41,7 @@ use phi_bigint::BigUint;
 use phi_simd::count;
 use phi_simd::CostModel;
 use phiopenssl::tuning::{TunedEntry, TuningTable, Winner, TUNING_SCHEMA};
-use phiopenssl::{BatchMont, GenMontCtx, KernelParams, MontVariant, VMontCtx};
+use phiopenssl::{GenMontCtx, KernelParams, MontVariant};
 
 /// RSA key sizes the table is searched for (the paper's ladder).
 pub const SUPPORTED_KEY_SIZES: [u32; 4] = [512, 1024, 2048, 4096];
@@ -148,7 +148,7 @@ pub struct CellOutcome {
     pub key_bits: u32,
     /// Best generated parameter point found.
     pub params: KernelParams,
-    /// Measured full-ladder cycles of the static default kernels.
+    /// Measured full-ladder cycles of the static point.
     pub cycles_static: f64,
     /// Measured full-ladder cycles of the best generated point.
     pub cycles_tuned: f64,
@@ -168,13 +168,13 @@ pub fn search_cell(key_bits: u32, seed: u64) -> CellOutcome {
     let sd = KernelParams::static_defaults();
     let exp_bits = exp.bit_length();
 
-    // Measured static baseline: the hand-written truncated batch ladder
-    // at the hand-picked window (the engine's default dispatch).
-    let vctx = VMontCtx::new(&n).expect("odd half modulus");
-    let static_ladder = BatchMont::with_variant(&vctx, MontVariant::Truncated);
+    // Measured baseline: the static point's ladder (the engine's
+    // default dispatch under `Tuning::Static`).
+    let static_ladder =
+        GenMontCtx::new(&n, sd, ResolvedBackend::ModeledKnc).expect("odd half modulus");
     let mut static_out = Vec::new();
     let cycles_static = cycles_of(|| {
-        static_out = static_ladder.mod_exp_16(&b16, &exp, sd.window);
+        static_out = static_ladder.mod_exp_16(&b16, &exp);
     });
 
     // Analytic sweep over the generated space.
@@ -213,7 +213,7 @@ pub fn search_cell(key_bits: u32, seed: u64) -> CellOutcome {
     });
     assert_eq!(
         tuned_out, static_out,
-        "generated ladder diverged from the static kernels at {key_bits} bits"
+        "searched ladder diverged from the static point at {key_bits} bits"
     );
 
     CellOutcome {
@@ -365,7 +365,7 @@ mod tests {
     #[test]
     fn committed_winners_monotonically_improve_on_static() {
         // Table-wide invariant: a committed `generated` winner must have
-        // measured strictly under the static kernels, and no cell may
+        // measured strictly under the static point, and no cell may
         // record a tuned cost above its static cost — `Tuning::Table`
         // never makes dispatch slower than `Tuning::Static`.
         let committed = TuningTable::committed();

@@ -123,14 +123,19 @@ fn host_crt(key: &RsaPrivateKey) -> Result<HostFn<BigUint, BigUint>, RsaError> {
 /// guards, the batch check a few percent. Without this check a silently
 /// faulted CRT half leaks the private key via `gcd(s − ŝ, n)` (the
 /// Bellcore attack).
+///
+/// The power check reduces its bases mod `n`, so it would accept `m + n`
+/// for `m`; the hook therefore also requires `m < n`, a plain compare
+/// that records no modeled ops.
 fn integrity_hooks(key: &RsaPrivateKey) -> Result<IntegrityHooks<BigUint, BigUint>, RsaError> {
     let n = key.public().n().clone();
+    let n_check = n.clone();
     let e = key.public().e().clone();
     let ctx = VMontCtx::new(key.public().n()).map_err(RsaError::from)?;
+    let mont = BatchMont::with_variant(&ctx, phiopenssl::MontVariant::Auto);
     Ok(IntegrityHooks::verified_batch(
         move |_c: &BigUint, m: &BigUint| (m + 1u64).rem_ref(&n).expect("public modulus is nonzero"),
         move |pairs: &[(&BigUint, &BigUint)]| {
-            let mont = BatchMont::with_variant(&ctx, phiopenssl::MontVariant::Auto);
             let mut verdicts = Vec::with_capacity(pairs.len());
             for chunk in pairs.chunks(BATCH_WIDTH) {
                 let mut bases = vec![BigUint::zero(); BATCH_WIDTH];
@@ -139,7 +144,13 @@ fn integrity_hooks(key: &RsaPrivateKey) -> Result<IntegrityHooks<BigUint, BigUin
                     bases[lane] = (*m).clone();
                     expected[lane] = (*c).clone();
                 }
-                verdicts.extend_from_slice(&mont.pow_eq_16(&bases, &e, &expected)[..chunk.len()]);
+                let powers_match = mont.pow_eq_16(&bases, &e, &expected);
+                verdicts.extend(
+                    chunk
+                        .iter()
+                        .zip(powers_match)
+                        .map(|((_, m), ok)| ok && *m < &n_check),
+                );
             }
             verdicts
         },
@@ -530,6 +541,24 @@ mod tests {
             RsaOps::new(Box::new(MpssBaseline)),
             RsaOps::new(Box::new(OpensslBaseline)),
         ]
+    }
+
+    #[test]
+    fn release_check_rejects_an_unreduced_plaintext() {
+        // m + n passes the power check (it reduces its bases mod n) but
+        // is not the plaintext: the hook must refuse to release it.
+        let key = RsaPrivateKey::generate(&mut StdRng::seed_from_u64(0x5EC), 512).unwrap();
+        let n = key.public().n().clone();
+        let m = BigUint::from(0xC0FFEEu64);
+        let c = m.mod_exp(key.public().e(), &n);
+        let unreduced = &m + &n;
+        let off_by_one = &m + &BigUint::one();
+        let hooks = integrity_hooks(&key).unwrap();
+        let verify = hooks.verify.as_ref().unwrap();
+        assert_eq!(
+            verify(&[(&c, &m), (&c, &unreduced), (&c, &off_by_one)]),
+            vec![true, false, false]
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! CI's `native-backend` job runs this to log the detected feature set
-//! before exercising the native tier.
+//! before exercising the native backend.
 
 use phi_bigint::BigUint;
 use phiopenssl::{Backend, CpuFeatures, PhiConfig, PhiLibrary, ResolvedBackend};
@@ -15,10 +15,6 @@ use phiopenssl_suite::mont::Libcrypto;
 fn main() {
     let features = CpuFeatures::detect();
     println!("cpu features : {features}");
-    println!(
-        "native tier  : {}",
-        phiopenssl_suite::backend::native_tier().name()
-    );
 
     let auto = Backend::Auto.resolve();
     println!("Backend::Auto: resolves to {auto}");
@@ -49,6 +45,6 @@ fn main() {
         assert_eq!(got, want, "native and modeled backends disagree");
         println!("cross-check  : native == modeled on 256-bit mod-exp ✓");
     } else {
-        println!("cross-check  : skipped (no native tier on this host)");
+        println!("cross-check  : skipped (no AVX2 on this host)");
     }
 }
