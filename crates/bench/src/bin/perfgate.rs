@@ -4,11 +4,12 @@
 //! # integrity + span-coverage check of one report
 //! perfgate --check BENCH_PR2.json
 //!
-//! # regression gate: fresh run vs committed baseline
+//! # two-sided gate: fresh run vs committed baseline; a move of more than
+//! # the tolerance either way fails
 //! perfgate --baseline bench/baseline.json BENCH_PR2.json
 //!
 //! # both in one invocation: integrity-check the fresh report AND hold
-//! # it to the regression tolerance against the baseline
+//! # it to the gate tolerance against the baseline
 //! perfgate --check BENCH_PR2.json --baseline bench/baseline.json
 //!
 //! # truncated-reduction gate: run the deterministic classic-vs-truncated
@@ -33,8 +34,8 @@
 //! perfgate --verify-overhead 0.05
 //! ```
 //!
-//! Exit status 0 = pass, 1 = gate failure (regression, bad coverage, or
-//! schema-invalid report), 2 = usage error. The modeled channel is
+//! Exit status 0 = pass, 1 = gate failure (a move past the tolerance
+//! either way, bad coverage, or schema-invalid report), 2 = usage error. The modeled channel is
 //! deterministic, so a failing gate is a code change, never noise — in
 //! particular, a fault-disabled run must land inside the tolerance, which
 //! is how CI proves the resilience layer costs nothing when off.
@@ -93,8 +94,8 @@ fn run_gate(baseline_path: &str, fresh_path: &str) -> i32 {
     });
     let mut failed = false;
     println!(
-        "perfgate: modeled throughput, fresh vs baseline (tolerance -{:.0}%)",
-        gate::REGRESSION_TOLERANCE * 100.0
+        "perfgate: modeled throughput, fresh vs baseline (tolerance ±{:.0}%)",
+        gate::GATE_TOLERANCE * 100.0
     );
     for l in &lines {
         println!(
@@ -103,14 +104,19 @@ fn run_gate(baseline_path: &str, fresh_path: &str) -> i32 {
             l.fresh,
             l.baseline,
             l.ratio,
-            if l.ok { "ok" } else { "REGRESSION" }
+            match (l.ok, l.ratio < 1.0) {
+                (true, _) => "ok",
+                (false, true) => "REGRESSION",
+                (false, false) => "UNEXPLAINED GAIN",
+            }
         );
         failed |= !l.ok;
     }
     if failed {
         eprintln!(
-            "perfgate: modeled throughput regressed more than {:.0}% on a gated experiment",
-            gate::REGRESSION_TOLERANCE * 100.0
+            "perfgate: modeled throughput moved more than {:.0}% on a gated experiment; \
+             a deliberate change regenerates bench/baseline.json and states the delta",
+            gate::GATE_TOLERANCE * 100.0
         );
         1
     } else {

@@ -4,9 +4,11 @@
 //! The modeled channel is deterministic — the same code produces the
 //! same issue-cycle counts on every machine — so the gate can compare a
 //! committed `bench/baseline.json` against a fresh CI run exactly: any
-//! drop in modeled throughput is a code change, not noise. The
-//! [`REGRESSION_TOLERANCE`] exists to absorb *intentional* small
-//! trade-offs, not measurement jitter.
+//! move in modeled throughput is a code change, not noise. The gate is
+//! two-sided — an unexplained gain (say, a cost charge that stopped
+//! counting some work) fails like a regression until the baseline is
+//! regenerated. The [`GATE_TOLERANCE`] exists to absorb *intentional*
+//! small trade-offs, not measurement jitter.
 
 use phi_trace::Report;
 
@@ -15,8 +17,9 @@ use phi_trace::Report;
 /// the thread-scaling figure), E14 (the batch service end to end).
 pub const GATED: [&str; 3] = ["e1", "e5", "e14"];
 
-/// Maximum tolerated drop in modeled throughput (fraction of baseline).
-pub const REGRESSION_TOLERANCE: f64 = 0.15;
+/// Maximum tolerated move in modeled throughput, either way (fraction of
+/// baseline): a line passes when `|fresh / baseline − 1| ≤ 0.15`.
+pub const GATE_TOLERANCE: f64 = 0.15;
 
 /// Acceptable span-coverage band: the per-scope exclusive cycles must
 /// sum to within 5% of each gated experiment's modeled total, or the
@@ -289,7 +292,7 @@ pub struct GateLine {
 /// experiments. Errors on structural problems (profile mismatch, a
 /// gated experiment missing from either side); otherwise returns one
 /// [`GateLine`] per gated experiment, `ok = false` where modeled
-/// throughput dropped more than [`REGRESSION_TOLERANCE`].
+/// throughput moved more than [`GATE_TOLERANCE`] in either direction.
 pub fn compare(baseline: &Report, fresh: &Report) -> Result<Vec<GateLine>, String> {
     if baseline.profile != fresh.profile {
         return Err(format!(
@@ -323,7 +326,7 @@ pub fn compare(baseline: &Report, fresh: &Report) -> Result<Vec<GateLine>, Strin
             baseline: base.modeled_throughput,
             fresh: new.modeled_throughput,
             ratio,
-            ok: ratio >= 1.0 - REGRESSION_TOLERANCE,
+            ok: (ratio - 1.0).abs() <= GATE_TOLERANCE,
         });
     }
     Ok(lines)
@@ -414,13 +417,17 @@ mod tests {
     }
 
     #[test]
-    fn speedups_always_pass() {
+    fn unexplained_gains_fail_like_regressions() {
         let base = full_report();
         let mut fresh = base.clone();
-        for e in &mut fresh.experiments {
-            e.modeled_throughput *= 10.0;
-        }
-        assert!(compare(&base, &fresh).unwrap().iter().all(|l| l.ok));
+        // e1 10% faster: within tolerance.
+        fresh.experiments[0].modeled_throughput *= 1.10;
+        // e5 20% faster: over the line, like a 20% regression.
+        fresh.experiments[1].modeled_throughput *= 1.20;
+        let lines = compare(&base, &fresh).unwrap();
+        assert!(lines[0].ok, "{:?}", lines[0]);
+        assert!(!lines[1].ok, "{:?}", lines[1]);
+        assert!(lines[2].ok);
     }
 
     #[test]

@@ -11,12 +11,18 @@
 //! Where the scalar baselines issue `2k` dependent 64×64 multiplies per
 //! row, this kernel issues `2·⌈K/8⌉` vector FMAs plus two broadcasts — the
 //! structural advantage the paper's speedups come from.
+//!
+//! The kernel's modeled op counts depend only on the modulus shape
+//! `(k, kk)`, never on the operands. The row loop therefore always runs on
+//! uncounted host lanes and the modeled backend charges the closed form
+//! (`row_charge`) once per call; a unit test checks that charge against
+//! the same body instantiated on the per-op counted backend.
 
 use crate::radix::{pad_to_lanes, VecNum, DIGIT_BITS, DIGIT_MASK, LANES};
-use phi_backend::{with_backend, ResolvedBackend, Vector64, VectorBackend};
+use phi_backend::{with_backend, NativeX86, ResolvedBackend, Vector64, VectorBackend};
 use phi_bigint::{BigIntError, BigUint};
 use phi_mont::MontEngine;
-use phi_simd::count::OpClass;
+use phi_simd::count::{OpClass, OpCounts};
 
 /// Scalar glue charged per CIOS row: extracting the low accumulator lane,
 /// forming `q`, the carry shift and carry add, and loop bookkeeping. These
@@ -24,6 +30,23 @@ use phi_simd::count::OpClass;
 /// non-vector cost of the kernel (a calibration constant, see
 /// EXPERIMENTS.md §Calibration).
 pub const ROW_GLUE_SALU: u64 = 13;
+
+/// Modeled KNC ops of one pass of the row loop and normalization for a
+/// `k`-digit modulus padded to `kk` columns (`kk / 8` vector chunks).
+///
+/// Per row: `2·chunks` FMAs, two broadcasts plus `chunks` column shifts,
+/// the `q` multiply and [`ROW_GLUE_SALU`] glue ops; then one normalizing
+/// pass of three scalar ops and a store per column.
+fn row_charge(k: usize, kk: usize) -> OpCounts {
+    let (k, kk, chunks) = (k as u64, kk as u64, (kk / LANES) as u64);
+    let mut c = OpCounts::zero();
+    c.set(OpClass::VMul, 2 * k * chunks);
+    c.set(OpClass::VPerm, k * (2 + chunks));
+    c.set(OpClass::SMul32, k);
+    c.set(OpClass::SAlu, ROW_GLUE_SALU * k + 3 * kk);
+    c.set(OpClass::SMem, kk);
+    c
+}
 
 /// Inverse of odd `x` modulo 2^27 (Newton; 3 → 6 → 12 → 24 → 48 bits).
 fn inv_mod_digit(x: u64) -> u64 {
@@ -61,6 +84,8 @@ pub struct VMontCtx {
     /// `R² mod n` in vector form, for entering the domain.
     rr_vec: VecNum,
     r_bits: u32,
+    /// [`row_charge`] of this shape, charged once per product.
+    row_charge: OpCounts,
     /// Which vector backend the kernels run on.
     backend: ResolvedBackend,
 }
@@ -107,6 +132,7 @@ impl VMontCtx {
             nprime_digits,
             rr_vec,
             r_bits,
+            row_charge: row_charge(k, kk),
             backend,
         })
     }
@@ -187,8 +213,28 @@ impl VMontCtx {
     /// Backend-generic body of [`mont_mul_vec`](Self::mont_mul_vec) —
     /// generic callers (exponentiation, batching) use this directly so a
     /// single dispatch covers a whole exponentiation.
+    ///
+    /// The rows run on uncounted lanes whatever `B` is; `B` is charged the
+    /// closed-form [`row_charge`] of the call instead, inside the same
+    /// span, so modeled counts are those of the per-op counted body.
     pub(crate) fn mont_mul_generic<B: VectorBackend>(&self, a: &VecNum, b: &VecNum) -> VecNum {
         let _span = phi_trace::span(phi_trace::Scope::MontReduce);
+        let mut out = self.mont_rows::<NativeX86>(a, b);
+        B::record_all(&self.row_charge);
+        self.reduce_once(&mut out);
+        out
+    }
+
+    /// `t < 2n`: one conditional subtraction reaches `[0, n)`.
+    fn reduce_once(&self, t: &mut VecNum) {
+        if t.cmp_digits(&self.n_vec) != std::cmp::Ordering::Less {
+            t.sub_assign_digits(&self.n_vec);
+        }
+    }
+
+    /// The CIOS row loop and normalization: `a·b·R⁻¹` in `[0, 2n)`, in
+    /// proper digits. Records exactly [`row_charge`] on a counting `B`.
+    fn mont_rows<B: VectorBackend>(&self, a: &VecNum, b: &VecNum) -> VecNum {
         debug_assert_eq!(a.len(), self.kk);
         debug_assert_eq!(b.len(), self.kk);
         let chunks = self.chunks;
@@ -248,16 +294,13 @@ impl VMontCtx {
         debug_assert_eq!(carry, 0, "result exceeded the padded width");
         B::record(OpClass::SAlu, 3 * self.kk as u64);
         B::record(OpClass::SMem, self.kk as u64);
-
-        // t < 2n: one conditional subtraction reaches [0, n).
-        if out.cmp_digits(&self.n_vec) != std::cmp::Ordering::Less {
-            out.sub_assign_digits(&self.n_vec);
-        }
         out
     }
 
-    /// Montgomery squaring (same kernel; a dedicated half-product squaring
-    /// is listed as future work in DESIGN.md).
+    /// Montgomery squaring through the multiplication kernel. The dedicated
+    /// half-product squaring is [`mont_sqr_sos`](crate::vsqr::mont_sqr_sos),
+    /// kept as the E10 ablation: its memory-resident accumulator costs more
+    /// modeled cycles than the squares it saves.
     pub fn mont_sqr_vec(&self, a: &VecNum) -> VecNum {
         self.mont_mul_vec(a, a)
     }
@@ -295,6 +338,7 @@ impl MontEngine for VMontCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phi_backend::ModeledKnc;
     use phi_simd::count;
 
     fn n256() -> BigUint {
@@ -375,7 +419,9 @@ mod tests {
     #[test]
     fn large_4096_bit_modulus_no_overflow() {
         // The digit-width analysis in `radix` must hold at the largest
-        // paper size; debug assertions in fma32 catch any overflow.
+        // paper size; the counted instantiation's fma32 debug assertions
+        // (exercised at every size by `row_charge_matches_per_op_counting`)
+        // catch any overflow.
         let n = &BigUint::power_of_two(4096) - &BigUint::from(0x11Du64); // odd
         assert!(n.is_odd());
         let ctx = VMontCtx::new(&n).unwrap();
@@ -412,6 +458,50 @@ mod tests {
         assert_eq!(d.get(OpClass::VPerm), k * (2 + chunks));
         assert_eq!(d.get(OpClass::SMul64), 0);
         assert_eq!(d.get(OpClass::SMul32), k);
+    }
+
+    /// A `k`-digit odd modulus (`2^(27k) - 97`, or the dense-top
+    /// `2^(27k - 1) + 2^(27k - 2) + 1` when `dense`).
+    fn modulus_of_digits(k: usize, dense: bool) -> BigUint {
+        let bits = k as u32 * DIGIT_BITS;
+        if dense {
+            &(&BigUint::power_of_two(bits - 1) + &BigUint::power_of_two(bits - 2)) + &BigUint::one()
+        } else {
+            &BigUint::power_of_two(bits) - &BigUint::from(97u64)
+        }
+    }
+
+    #[test]
+    fn row_charge_matches_per_op_counting() {
+        // Every digit count from 1 up to a 4096-bit modulus (k = 152), so
+        // every kk = pad_to_lanes(k + 1) boundary (k ≡ 7 and 0 mod 8) is
+        // crossed, plus the exact 4096-bit modulus.
+        let mut moduli: Vec<BigUint> = (1..=152)
+            .flat_map(|k| [modulus_of_digits(k, false), modulus_of_digits(k, true)])
+            .collect();
+        moduli.push(&BigUint::power_of_two(4096) - &BigUint::from(0x11Du64));
+        for n in &moduli {
+            let ctx = VMontCtx::new(n).unwrap();
+            let (k, kk) = (ctx.digits(), ctx.padded_digits());
+            assert_eq!(kk, pad_to_lanes(k + 1));
+            let max = ctx.to_vec_form(&(n - &BigUint::one()));
+            let mid = ctx.to_vec_form(&(n >> 1));
+            let small = ctx.to_vec_form(&BigUint::from(0x5a5a5u64));
+            for (a, b) in [(&max, &max), (&mid, &max), (&small, &mid), (&max, &small)] {
+                let (mut counted, per_op) = count::measure(|| ctx.mont_rows::<ModeledKnc>(a, b));
+                assert_eq!(per_op, ctx.row_charge, "k = {k}, kk = {kk}");
+                assert_eq!(counted, ctx.mont_rows::<NativeX86>(a, b), "k = {k}");
+
+                // The charged path returns the counted body's digits after
+                // the conditional subtraction, and records the same ops.
+                let (charged, total) = count::measure(|| ctx.mont_mul_vec(a, b));
+                let ((), sub) = count::measure(|| ctx.reduce_once(&mut counted));
+                assert_eq!(charged, counted, "k = {k}");
+                let mut want = per_op;
+                want.accumulate(&sub);
+                assert_eq!(total, want, "k = {k}");
+            }
+        }
     }
 
     #[test]

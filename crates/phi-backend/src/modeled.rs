@@ -5,7 +5,7 @@
 //! nothing about the modeled channel.
 
 use crate::traits::{LaneMask8, Vector32, Vector64, VectorBackend};
-use phi_simd::count::{record, OpClass};
+use phi_simd::count::{record, record_all, OpClass, OpCounts};
 use phi_simd::{Mask8, U32x16, U64x8};
 
 /// The software-modeled KNC (IMCI) backend — the repo's historical and
@@ -135,5 +135,10 @@ impl VectorBackend for ModeledKnc {
     #[inline]
     fn record(class: OpClass, n: u64) {
         record(class, n);
+    }
+
+    #[inline]
+    fn record_all(counts: &OpCounts) {
+        record_all(counts);
     }
 }

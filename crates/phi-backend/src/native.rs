@@ -15,7 +15,7 @@
 #![allow(clippy::needless_range_loop)] // explicit lane indices read as lane semantics
 
 use crate::traits::{LaneMask8, Vector32, Vector64, VectorBackend};
-use phi_simd::count::OpClass;
+use phi_simd::count::{OpClass, OpCounts};
 
 /// The native execution backend: host SIMD, no instruction accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -201,6 +201,9 @@ impl VectorBackend for NativeX86 {
 
     #[inline(always)]
     fn record(_class: OpClass, _n: u64) {}
+
+    #[inline(always)]
+    fn record_all(_counts: &OpCounts) {}
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! constructors (`from_lanes`, `from_slice_folded`, `lane`, `with_lane`)
 //! are free on both.
 
-use phi_simd::count::OpClass;
+use phi_simd::count::{OpClass, OpCounts};
 use std::fmt::Debug;
 
 /// An 8-lane write mask (one bit per 64-bit lane), used by the
@@ -112,4 +112,9 @@ pub trait VectorBackend: 'static {
     /// explicit memory-traffic charges the kernels account for outside
     /// the vector methods themselves.
     fn record(class: OpClass, n: u64);
+
+    /// Record a whole per-call charge at once — for kernels that run
+    /// their body on uncounted lanes and charge a closed form of their
+    /// shape instead of counting each instruction.
+    fn record_all(counts: &OpCounts);
 }

@@ -2,11 +2,13 @@
 //!
 //! Every modeled vector operation (and, via [`record`], every scalar
 //! operation the baseline libraries account for) increments a per-thread
-//! counter for its [`OpClass`]. Counts are deterministic functions of the
-//! algorithm and operand sizes, which makes the modeled-cycle channel of
-//! the benchmark harness exactly reproducible.
+//! counter for its [`OpClass`]. A kernel whose counts are a closed form
+//! of its shape may instead charge them once per call with
+//! [`record_all`]. Counts are deterministic functions of the algorithm
+//! and operand sizes, which makes the modeled-cycle channel of the
+//! benchmark harness exactly reproducible.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::fmt;
 
 /// Operation classes, chosen to match the KNC cost model's granularity.
@@ -159,31 +161,48 @@ impl fmt::Display for OpCounts {
 }
 
 thread_local! {
-    static COUNTS: RefCell<OpCounts> = const { RefCell::new(OpCounts { counts: [0; NUM_CLASSES] }) };
+    // One plain cell per class: `record` is a single load-add-store with
+    // no borrow-flag check, cheap enough to sit in every modeled vector op.
+    static COUNTS: [Cell<u64>; NUM_CLASSES] = const { [const { Cell::new(0) }; NUM_CLASSES] };
     // Montgomery context constructions are tracked separately from the
     // OpClass table: they are a *setup* event (n', R^2 precomputation),
     // not a modeled steady-state instruction class, and folding them into
     // the cost model would skew cycle totals. The counter exists so tests
     // can assert that cached-context code paths build each context once.
-    static CTX_SETUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static CTX_SETUPS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Record `n` operations of the given class on the current thread.
 #[inline]
 pub fn record(class: OpClass, n: u64) {
     COUNTS.with(|c| {
-        c.borrow_mut().counts[class.index()] += n;
+        let cell = &c[class.index()];
+        cell.set(cell.get() + n);
+    });
+}
+
+/// Record every class of `counts` on the current thread at once — the
+/// per-call charge of a kernel whose op counts are a closed form of its
+/// shape.
+#[inline]
+pub fn record_all(counts: &OpCounts) {
+    COUNTS.with(|c| {
+        for (cell, &n) in c.iter().zip(&counts.counts) {
+            cell.set(cell.get() + n);
+        }
     });
 }
 
 /// Current thread's counts.
 pub fn snapshot() -> OpCounts {
-    COUNTS.with(|c| *c.borrow())
+    COUNTS.with(|c| OpCounts {
+        counts: std::array::from_fn(|i| c[i].get()),
+    })
 }
 
 /// Reset the current thread's counts to zero.
 pub fn reset() {
-    COUNTS.with(|c| *c.borrow_mut() = OpCounts::zero());
+    COUNTS.with(|c| c.iter().for_each(|cell| cell.set(0)));
 }
 
 /// Run `f` and return its result together with the operations it recorded
@@ -245,6 +264,19 @@ mod tests {
         });
         assert_eq!(d.get(OpClass::VMul), 3);
         assert_eq!(d.get(OpClass::VPerm), 1);
+    }
+
+    #[test]
+    fn record_all_adds_every_class() {
+        reset();
+        record(OpClass::SAlu, 1);
+        let mut charge = OpCounts::zero();
+        charge.set(OpClass::VMul, 8);
+        charge.set(OpClass::SAlu, 13);
+        charge.set(OpClass::SDiv, 2);
+        let ((), d) = measure(|| record_all(&charge));
+        assert_eq!(d, charge);
+        assert_eq!(snapshot().get(OpClass::SAlu), 14);
     }
 
     #[test]

@@ -17,18 +17,21 @@ pub struct Mask8(pub u8);
 
 impl Mask16 {
     /// All lanes enabled.
+    #[inline]
     pub fn all() -> Self {
         record(OpClass::VMask, 1);
         Mask16(u16::MAX)
     }
 
     /// No lanes enabled.
+    #[inline]
     pub fn none() -> Self {
         record(OpClass::VMask, 1);
         Mask16(0)
     }
 
     /// Mask with exactly the first `n` lanes enabled.
+    #[inline]
     pub fn first(n: usize) -> Self {
         assert!(n <= 16);
         record(OpClass::VMask, 1);
@@ -40,6 +43,7 @@ impl Mask16 {
     }
 
     /// Build from a per-lane predicate (models a vector compare).
+    #[inline]
     pub fn from_fn(f: impl Fn(usize) -> bool) -> Self {
         record(OpClass::VMask, 1);
         let mut bits = 0u16;
@@ -59,29 +63,34 @@ impl Mask16 {
     }
 
     /// Bitwise AND of masks (`kand`).
+    #[inline]
     pub fn and(self, other: Self) -> Self {
         record(OpClass::VMask, 1);
         Mask16(self.0 & other.0)
     }
 
     /// Bitwise OR of masks (`kor`).
+    #[inline]
     pub fn or(self, other: Self) -> Self {
         record(OpClass::VMask, 1);
         Mask16(self.0 | other.0)
     }
 
     /// Complement (`knot`).
+    #[inline]
     pub fn not(self) -> Self {
         record(OpClass::VMask, 1);
         Mask16(!self.0)
     }
 
     /// Number of enabled lanes.
+    #[inline]
     pub fn count(self) -> u32 {
         self.0.count_ones()
     }
 
     /// True if no lane is enabled (`kortestz`).
+    #[inline]
     pub fn is_empty(self) -> bool {
         self.0 == 0
     }
@@ -89,18 +98,21 @@ impl Mask16 {
 
 impl Mask8 {
     /// All lanes enabled.
+    #[inline]
     pub fn all() -> Self {
         record(OpClass::VMask, 1);
         Mask8(u8::MAX)
     }
 
     /// No lanes enabled.
+    #[inline]
     pub fn none() -> Self {
         record(OpClass::VMask, 1);
         Mask8(0)
     }
 
     /// Mask with exactly the first `n` lanes enabled.
+    #[inline]
     pub fn first(n: usize) -> Self {
         assert!(n <= 8);
         record(OpClass::VMask, 1);
@@ -112,6 +124,7 @@ impl Mask8 {
     }
 
     /// Build from a per-lane predicate.
+    #[inline]
     pub fn from_fn(f: impl Fn(usize) -> bool) -> Self {
         record(OpClass::VMask, 1);
         let mut bits = 0u8;
@@ -131,23 +144,27 @@ impl Mask8 {
     }
 
     /// Bitwise AND.
+    #[inline]
     pub fn and(self, other: Self) -> Self {
         record(OpClass::VMask, 1);
         Mask8(self.0 & other.0)
     }
 
     /// Complement.
+    #[inline]
     pub fn not(self) -> Self {
         record(OpClass::VMask, 1);
         Mask8(!self.0)
     }
 
     /// Number of enabled lanes.
+    #[inline]
     pub fn count(self) -> u32 {
         self.0.count_ones()
     }
 
     /// True if no lane is enabled.
+    #[inline]
     pub fn is_empty(self) -> bool {
         self.0 == 0
     }

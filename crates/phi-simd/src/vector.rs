@@ -54,6 +54,7 @@ impl U32x16 {
 
     /// Load 16 lanes from a slice (`vmovdqa32`). Shorter slices are
     /// zero-padded (modeling a masked load).
+    #[inline]
     pub fn load(src: &[u32]) -> Self {
         record(OpClass::VMem, 1);
         let mut lanes = [0u32; 16];
@@ -63,6 +64,7 @@ impl U32x16 {
     }
 
     /// Store all 16 lanes to a slice prefix (`vmovdqa32`).
+    #[inline]
     pub fn store(self, dst: &mut [u32]) {
         record(OpClass::VMem, 1);
         let n = dst.len().min(16);
@@ -77,6 +79,7 @@ impl U32x16 {
     }
 
     /// Lane-wise wrapping addition (`vpaddd`).
+    #[inline]
     pub fn add(self, rhs: Self) -> Self {
         record(OpClass::VAlu, 1);
         let mut out = [0u32; 16];
@@ -87,6 +90,7 @@ impl U32x16 {
     }
 
     /// Lane-wise wrapping subtraction (`vpsubd`).
+    #[inline]
     pub fn sub(self, rhs: Self) -> Self {
         record(OpClass::VAlu, 1);
         let mut out = [0u32; 16];
@@ -97,6 +101,7 @@ impl U32x16 {
     }
 
     /// Lane-wise low 32 bits of the product (`vpmulld`).
+    #[inline]
     pub fn mul_lo(self, rhs: Self) -> Self {
         record(OpClass::VMul, 1);
         let mut out = [0u32; 16];
@@ -107,6 +112,7 @@ impl U32x16 {
     }
 
     /// Lane-wise AND (`vpandd`).
+    #[inline]
     pub fn and(self, rhs: Self) -> Self {
         record(OpClass::VAlu, 1);
         let mut out = [0u32; 16];
@@ -117,6 +123,7 @@ impl U32x16 {
     }
 
     /// Lane-wise OR (`vpord`).
+    #[inline]
     pub fn or(self, rhs: Self) -> Self {
         record(OpClass::VAlu, 1);
         let mut out = [0u32; 16];
@@ -127,6 +134,7 @@ impl U32x16 {
     }
 
     /// Lane-wise XOR (`vpxord`).
+    #[inline]
     pub fn xor(self, rhs: Self) -> Self {
         record(OpClass::VAlu, 1);
         let mut out = [0u32; 16];
@@ -137,6 +145,7 @@ impl U32x16 {
     }
 
     /// Lane-wise logical right shift by an immediate (`vpsrld`).
+    #[inline]
     pub fn shr(self, n: u32) -> Self {
         record(OpClass::VAlu, 1);
         let mut out = [0u32; 16];
@@ -147,6 +156,7 @@ impl U32x16 {
     }
 
     /// Lane-wise left shift by an immediate (`vpslld`).
+    #[inline]
     pub fn shl(self, n: u32) -> Self {
         record(OpClass::VAlu, 1);
         let mut out = [0u32; 16];
@@ -158,6 +168,7 @@ impl U32x16 {
 
     /// Masked blend: lane i of the result is `other` where the mask is set,
     /// else `self` (a masked `vmovdqa32`).
+    #[inline]
     pub fn blend(self, mask: Mask16, other: Self) -> Self {
         record(OpClass::VAlu, 1);
         let mut out = self.0;
@@ -171,6 +182,7 @@ impl U32x16 {
 
     /// Full lane permute by index vector (`vpermd`); indices are taken
     /// modulo 16 like the hardware.
+    #[inline]
     pub fn permute(self, idx: [u8; 16]) -> Self {
         record(OpClass::VPerm, 1);
         let mut out = [0u32; 16];
@@ -181,18 +193,21 @@ impl U32x16 {
     }
 
     /// Lane-wise equality compare into a mask (`vpcmpeqd`).
+    #[inline]
     pub fn cmp_eq(self, rhs: Self) -> Mask16 {
         // from_fn records the VMask op.
         Mask16::from_fn(|i| self.0[i] == rhs.0[i])
     }
 
     /// Lane-wise unsigned less-than compare (`vpcmpltud`).
+    #[inline]
     pub fn cmp_lt(self, rhs: Self) -> Mask16 {
         Mask16::from_fn(|i| self.0[i] < rhs.0[i])
     }
 
     /// Zero-extend the low eight lanes to 64 bits (`vpmovzxdq`-shaped
     /// swizzle).
+    #[inline]
     pub fn widen_lo(self) -> U64x8 {
         record(OpClass::VPerm, 1);
         let mut out = [0u64; 8];
@@ -203,6 +218,7 @@ impl U32x16 {
     }
 
     /// Zero-extend the high eight lanes to 64 bits.
+    #[inline]
     pub fn widen_hi(self) -> U64x8 {
         record(OpClass::VPerm, 1);
         let mut out = [0u64; 8];
@@ -256,6 +272,7 @@ impl U64x8 {
     }
 
     /// Load 8 lanes from a slice (zero-padded masked load).
+    #[inline]
     pub fn load(src: &[u64]) -> Self {
         record(OpClass::VMem, 1);
         let mut lanes = [0u64; 8];
@@ -265,6 +282,7 @@ impl U64x8 {
     }
 
     /// Store all 8 lanes to a slice prefix.
+    #[inline]
     pub fn store(self, dst: &mut [u64]) {
         record(OpClass::VMem, 1);
         let n = dst.len().min(8);
@@ -285,6 +303,7 @@ impl U64x8 {
     }
 
     /// Lane-wise wrapping addition (`vpaddq`).
+    #[inline]
     pub fn add(self, rhs: Self) -> Self {
         record(OpClass::VAlu, 1);
         let mut out = [0u64; 8];
@@ -295,6 +314,7 @@ impl U64x8 {
     }
 
     /// Lane-wise wrapping subtraction (`vpsubq`).
+    #[inline]
     pub fn sub(self, rhs: Self) -> Self {
         record(OpClass::VAlu, 1);
         let mut out = [0u64; 8];
@@ -305,6 +325,7 @@ impl U64x8 {
     }
 
     /// Lane-wise AND (`vpandq`).
+    #[inline]
     pub fn and(self, rhs: Self) -> Self {
         record(OpClass::VAlu, 1);
         let mut out = [0u64; 8];
@@ -315,6 +336,7 @@ impl U64x8 {
     }
 
     /// Lane-wise logical right shift by an immediate (`vpsrlq`).
+    #[inline]
     pub fn shr(self, n: u32) -> Self {
         record(OpClass::VAlu, 1);
         let mut out = [0u64; 8];
@@ -325,6 +347,7 @@ impl U64x8 {
     }
 
     /// Lane-wise left shift by an immediate (`vpsllq`).
+    #[inline]
     pub fn shl(self, n: u32) -> Self {
         record(OpClass::VAlu, 1);
         let mut out = [0u64; 8];
@@ -340,6 +363,7 @@ impl U64x8 {
     ///
     /// The reduced-radix kernels guarantee the accumulation cannot wrap;
     /// a debug assertion checks that contract.
+    #[inline]
     pub fn fma32(self, a: Self, b: Self) -> Self {
         record(OpClass::VMul, 1);
         let mut out = [0u64; 8];
@@ -353,6 +377,7 @@ impl U64x8 {
     }
 
     /// Masked blend (lane from `other` where mask set).
+    #[inline]
     pub fn blend(self, mask: Mask8, other: Self) -> Self {
         record(OpClass::VAlu, 1);
         let mut out = self.0;
@@ -366,6 +391,7 @@ impl U64x8 {
 
     /// Shift all lanes one position toward lane 0, inserting `fill` in the
     /// top lane (`valignq`-shaped). Used by the Montgomery digit shift.
+    #[inline]
     pub fn shift_lanes_down(self, fill: u64) -> Self {
         record(OpClass::VPerm, 1);
         let mut out = [0u64; 8];
@@ -375,17 +401,20 @@ impl U64x8 {
     }
 
     /// Lane-wise equality compare into a mask.
+    #[inline]
     pub fn cmp_eq(self, rhs: Self) -> Mask8 {
         Mask8::from_fn(|i| self.0[i] == rhs.0[i])
     }
 
     /// Lane-wise unsigned less-than compare.
+    #[inline]
     pub fn cmp_lt(self, rhs: Self) -> Mask8 {
         Mask8::from_fn(|i| self.0[i] < rhs.0[i])
     }
 
     /// Pack the low 32 bits of each lane of `lo` and `hi` into one
     /// [`U32x16`] (`vpmovqd`+insert-shaped swizzle).
+    #[inline]
     pub fn pack(lo: Self, hi: Self) -> U32x16 {
         record(OpClass::VPerm, 1);
         let mut out = [0u32; 16];
