@@ -151,8 +151,8 @@ pub static EXPERIMENTS: [Experiment; 20] = [
         id: "e17",
         title: "native backend validation",
         run: profile_run!(
-            ex::e17_backend_validation(&[512, 1024, 2048], 64),
-            ex::e17_backend_validation(&[512], 8)
+            ex::e17_backend_validation(&[512, 1024, 2048], 15, 64),
+            ex::e17_backend_validation(&[512], 5, 8)
         ),
     },
     Experiment {

@@ -1,8 +1,9 @@
-//! GCD, extended GCD, and modular inverse.
+//! GCD, extended GCD, and modular inverses.
 
 use super::BigUint;
 use crate::bigint::{BigInt, Sign};
 use crate::error::BigIntError;
+use crate::limb::LIMB_BITS;
 
 impl BigUint {
     /// Greatest common divisor by the binary (Stein) algorithm.
@@ -77,6 +78,44 @@ impl BigUint {
         Ok(x.rem_euclid(m))
     }
 
+    /// Inverse of an odd `self` modulo `2^bits`: the `x` in `[0, 2^bits)`
+    /// with `self·x ≡ 1 (mod 2^bits)` — the Montgomery `N′` of a
+    /// power-of-two radix.
+    ///
+    /// Newton–Hensel lifting: a word inverse, then `x ← x·(2 − self·x)
+    /// mod 2^prec` with `prec` doubling up to `bits`. Each step doubles
+    /// the correct low bits at the price of two truncated products, where
+    /// [`mod_inverse`](Self::mod_inverse)'s extended Euclid takes a
+    /// division per quotient step.
+    ///
+    /// # Panics
+    ///
+    /// If `self` is even: no inverse exists for `bits ≥ 1`.
+    pub fn inverse_mod_pow2(&self, bits: u32) -> BigUint {
+        assert!(self.is_odd(), "only odd values are invertible mod 2^bits");
+        let n0 = self.limbs[0];
+        // Every odd n is its own inverse mod 2^3; five steps reach 96 bits.
+        let mut x = n0;
+        for _ in 0..5 {
+            x = x.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(x)));
+        }
+        let mut inv = BigUint::from(x);
+        let mut prec = LIMB_BITS;
+        while prec < bits {
+            prec = prec.saturating_mul(2).min(bits);
+            // Only the low `prec` bits of self reach the truncated product.
+            let limbs = (prec.div_ceil(LIMB_BITS) as usize).min(self.limbs.len());
+            let mut nx = &BigUint::from_limbs(self.limbs[..limbs].to_vec()) * &inv;
+            nx.mask_low_bits(prec);
+            // 2 − n·x (mod 2^prec), kept non-negative since n·x < 2^prec.
+            let two_minus_nx = &(&BigUint::power_of_two(prec) + &BigUint::from(2u64)) - &nx;
+            inv = &inv * &two_minus_nx;
+            inv.mask_low_bits(prec);
+        }
+        inv.mask_low_bits(bits);
+        inv
+    }
+
     /// Least common multiple. Returns zero if either operand is zero.
     pub fn lcm(&self, other: &BigUint) -> BigUint {
         if self.is_zero() || other.is_zero() {
@@ -90,6 +129,8 @@ impl BigUint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn gcd_small() {
@@ -193,6 +234,50 @@ mod tests {
             .mod_inverse(&BigUint::from(7u64))
             .unwrap();
         assert_eq!(inv.to_u64(), Some(5));
+    }
+
+    /// Odd test values for a `bits`-wide inverse: 1, `2^bits − 1`, random
+    /// odd values below `2^bits`, and one wider than `2^bits`.
+    fn odd_values(bits: u32, rng: &mut StdRng) -> Vec<BigUint> {
+        let mut vals = vec![
+            BigUint::one(),
+            &BigUint::power_of_two(bits) - &BigUint::one(),
+        ];
+        for width in [bits, bits.div_ceil(2), bits + 70] {
+            let mut v = BigUint::random_bits(rng, width);
+            if v.is_even() {
+                v = &v + &BigUint::one();
+            }
+            vals.push(v);
+        }
+        vals
+    }
+
+    #[test]
+    fn inverse_mod_pow2_inverts_and_matches_euclid() {
+        let mut rng = StdRng::seed_from_u64(0x1E5E1);
+        for bits in [1u32, 26, 27, 63, 64, 65, 1026, 2052, 4104] {
+            let r = BigUint::power_of_two(bits);
+            for n in odd_values(bits, &mut rng) {
+                let inv = n.inverse_mod_pow2(bits);
+                assert!(inv < r, "bits = {bits}, n = {n:?}");
+                let mut check = &n * &inv;
+                check.mask_low_bits(bits);
+                assert!(check.is_one(), "bits = {bits}, n = {n:?}");
+                assert_eq!(inv, n.mod_inverse(&r).unwrap(), "bits = {bits}, n = {n:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn inverse_mod_pow2_zero_width_is_zero() {
+        assert!(BigUint::from(3u64).inverse_mod_pow2(0).is_zero());
+    }
+
+    #[test]
+    #[should_panic(expected = "only odd values")]
+    fn inverse_mod_pow2_rejects_even() {
+        BigUint::from(6u64).inverse_mod_pow2(64);
     }
 
     #[test]

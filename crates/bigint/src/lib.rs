@@ -12,6 +12,7 @@
 //!   hex / decimal / big-endian-byte conversions.
 //! * [`BigInt`] — a thin signed wrapper used by the extended GCD.
 //! * Number-theoretic routines: [`BigUint::gcd`], [`BigUint::mod_inverse`],
+//!   [`BigUint::inverse_mod_pow2`] (the Montgomery `N′`),
 //!   [`BigUint::mod_exp`], Miller–Rabin primality testing and prime
 //!   generation (see the [`prime`] module).
 //! * Random generation of uniform values and fixed-bit-length candidates

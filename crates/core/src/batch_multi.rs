@@ -69,7 +69,10 @@ impl MultiBatchMont {
         let kk = pad_to_lanes(k + 1);
         let r_bits = (k as u32) * DIGIT_BITS;
 
-        let n_vecs: Vec<VecNum> = moduli.iter().map(|n| VecNum::from_biguint(n, kk)).collect();
+        let n_vecs: Vec<VecNum> = moduli
+            .iter()
+            .map(|n| with_backend!(backend, B => VecNum::from_biguint_on::<B>(n, kk)))
+            .collect();
         let mut n_halves = Vec::with_capacity(kk);
         for d in 0..kk {
             let mut lo = [0u64; 8];
@@ -137,12 +140,12 @@ impl MultiBatchMont {
         let plain: Vec<VecNum> = values
             .iter()
             .zip(&self.moduli)
-            .map(|(v, n)| VecNum::from_biguint(&(v % n), self.kk))
+            .map(|(v, n)| VecNum::from_biguint_on::<B>(&(v % n), self.kk))
             .collect();
         let rrs: Vec<VecNum> = self
             .rr
             .iter()
-            .map(|r| VecNum::from_biguint(r, self.kk))
+            .map(|r| VecNum::from_biguint_on::<B>(r, self.kk))
             .collect();
         self.mont_mul_16_generic::<B>(
             &Batch16::transpose_from_impl::<B>(&plain),
@@ -163,7 +166,7 @@ impl MultiBatchMont {
         self.mont_mul_16_generic::<B>(batch, &Batch16::transpose_from_impl::<B>(&ones))
             .transpose_out_impl::<B>()
             .iter()
-            .map(|v| v.to_biguint())
+            .map(|v| v.to_biguint_on::<B>())
             .collect()
     }
 
@@ -249,9 +252,7 @@ impl MultiBatchMont {
             debug_assert_eq!(carry, 0);
             B::record(OpClass::SAlu, 3 * kk as u64);
             B::record(OpClass::SMem, kk as u64);
-            if v.cmp_digits(&self.n_vecs[lane]) != std::cmp::Ordering::Less {
-                v.sub_assign_digits(&self.n_vecs[lane]);
-            }
+            v.cond_sub::<B>(&self.n_vecs[lane]);
             outs.push(v);
         }
         Batch16::transpose_from_impl::<B>(&outs)
@@ -284,7 +285,7 @@ impl MultiBatchMont {
             .iter()
             .map(|n| {
                 let r = &BigUint::power_of_two(self.k as u32 * DIGIT_BITS) % n;
-                VecNum::from_biguint(&r, self.kk)
+                VecNum::from_biguint_on::<B>(&r, self.kk)
             })
             .collect();
         let one_b = Batch16::transpose_from_impl::<B>(&ones);

@@ -130,10 +130,7 @@ impl GenMontCtx {
         let k = n.bit_length().div_ceil(r) as usize;
         let r_bits = k as u32 * r;
         let big_r = BigUint::power_of_two(r_bits);
-        let inv = n
-            .mod_inverse(&big_r)
-            .expect("odd modulus is invertible mod a power of two");
-        let nprime = &big_r - &inv;
+        let nprime = &big_r - &n.inverse_mod_pow2(r_bits);
         let rr = &BigUint::power_of_two(2 * r_bits) % n;
         let one_mont = &big_r % n;
         let mask = (1u64 << r) - 1;

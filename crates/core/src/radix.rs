@@ -12,8 +12,10 @@
 //! Digits are stored little-endian in `u64` slots (pre-widened, the layout
 //! the vector loads want), padded to a multiple of the 8-lane vector width.
 
+use phi_backend::{ModeledKnc, VectorBackend};
 use phi_bigint::BigUint;
-use phi_simd::count::{record, OpClass};
+use phi_simd::count::OpClass;
+use std::cmp::Ordering;
 
 /// Bits per reduced-radix digit.
 pub const DIGIT_BITS: u32 = 27;
@@ -49,9 +51,15 @@ impl VecNum {
 
     /// Convert from a big integer, which must fit in `ndigits` digits.
     ///
-    /// Charged as the scalar digit-slicing pass the real library performs
-    /// when entering the vector domain (3 ALU + 1 store per digit).
+    /// Charged to the modeled counters as the scalar digit-slicing pass
+    /// the real library performs when entering the vector domain (3 ALU +
+    /// 1 store per digit).
     pub fn from_biguint(a: &BigUint, ndigits: usize) -> Self {
+        Self::from_biguint_on::<ModeledKnc>(a, ndigits)
+    }
+
+    /// [`from_biguint`](Self::from_biguint), charged to backend `B`.
+    pub(crate) fn from_biguint_on<B: VectorBackend>(a: &BigUint, ndigits: usize) -> Self {
         assert!(
             a.bit_length() as usize <= ndigits * DIGIT_BITS as usize,
             "value of {} bits does not fit in {} digits",
@@ -63,13 +71,19 @@ impl VecNum {
         for (i, d) in digits.iter_mut().enumerate().take(ndigits) {
             *d = a.extract_bits(i as u32 * DIGIT_BITS, DIGIT_BITS);
         }
-        record(OpClass::SAlu, 3 * ndigits as u64);
-        record(OpClass::SMem, ndigits as u64);
+        B::record(OpClass::SAlu, 3 * ndigits as u64);
+        B::record(OpClass::SMem, ndigits as u64);
         VecNum { digits }
     }
 
-    /// Convert back to a big integer (the symmetric exit pass).
+    /// Convert back to a big integer (the symmetric exit pass), charged
+    /// to the modeled counters.
     pub fn to_biguint(&self) -> BigUint {
+        self.to_biguint_on::<ModeledKnc>()
+    }
+
+    /// [`to_biguint`](Self::to_biguint), charged to backend `B`.
+    pub(crate) fn to_biguint_on<B: VectorBackend>(&self) -> BigUint {
         let total_bits = self.digits.len() * DIGIT_BITS as usize;
         let limbs = total_bits.div_ceil(64) + 1;
         let mut out = vec![0u64; limbs];
@@ -83,8 +97,8 @@ impl VecNum {
                 out[limb + 1] |= d >> (64 - off);
             }
         }
-        record(OpClass::SAlu, 3 * self.digits.len() as u64);
-        record(OpClass::SMem, self.digits.len() as u64);
+        B::record(OpClass::SAlu, 3 * self.digits.len() as u64);
+        B::record(OpClass::SMem, self.digits.len() as u64);
         BigUint::from_limbs(out)
     }
 
@@ -122,25 +136,24 @@ impl VecNum {
         self.digits[i]
     }
 
-    /// Compare two same-length digit vectors numerically.
-    pub fn cmp_digits(&self, other: &VecNum) -> std::cmp::Ordering {
+    /// Compare two same-length digit vectors numerically. Uncounted host
+    /// code: kernels charge it with their conditional subtraction.
+    pub fn cmp_digits(&self, other: &VecNum) -> Ordering {
         debug_assert_eq!(self.digits.len(), other.digits.len());
-        record(OpClass::SAlu, self.digits.len() as u64);
         for (a, b) in self.digits.iter().rev().zip(other.digits.iter().rev()) {
             match a.cmp(b) {
-                std::cmp::Ordering::Equal => continue,
+                Ordering::Equal => continue,
                 ord => return ord,
             }
         }
-        std::cmp::Ordering::Equal
+        Ordering::Equal
     }
 
     /// In-place borrowed subtraction `self -= other`; requires
-    /// `self >= other`. The scalar borrow chain of the final conditional
-    /// subtraction (2 ALU per digit).
+    /// `self >= other`. Uncounted host code: kernels charge it with their
+    /// conditional subtraction.
     pub fn sub_assign_digits(&mut self, other: &VecNum) {
         debug_assert_eq!(self.digits.len(), other.digits.len());
-        record(OpClass::SAlu, 2 * self.digits.len() as u64);
         let mut borrow = 0u64;
         for (a, &b) in self.digits.iter_mut().zip(other.digits.iter()) {
             let v = a.wrapping_sub(b).wrapping_sub(borrow);
@@ -152,6 +165,19 @@ impl VecNum {
             *a = v & DIGIT_MASK;
         }
         debug_assert_eq!(borrow, 0, "sub_assign_digits underflow");
+    }
+
+    /// The final conditional subtraction of a Montgomery product:
+    /// `self -= n` when `self >= n`. Charged to `B` as a compare pass (1
+    /// ALU per digit) plus, when taken, the scalar borrow chain (2 ALU
+    /// per digit).
+    pub(crate) fn cond_sub<B: VectorBackend>(&mut self, n: &VecNum) {
+        let len = self.digits.len() as u64;
+        B::record(OpClass::SAlu, len);
+        if self.cmp_digits(n) != Ordering::Less {
+            B::record(OpClass::SAlu, 2 * len);
+            self.sub_assign_digits(n);
+        }
     }
 }
 

@@ -59,6 +59,11 @@ fn inv_mod_digit(x: u64) -> u64 {
     inv
 }
 
+/// `a` in `kk`-slot digit form, charged to `backend`.
+fn digits_on(backend: ResolvedBackend, a: &BigUint, kk: usize) -> VecNum {
+    with_backend!(backend, B => VecNum::from_biguint_on::<B>(a, kk))
+}
+
 /// A vectorized Montgomery context for one odd modulus.
 ///
 /// The Montgomery radix is `R = 2^(27·k)` where `k` is the digit count of
@@ -109,18 +114,15 @@ impl VMontCtx {
         // One extra digit so the pre-subtraction value (< 2n) always fits.
         let kk = pad_to_lanes(k + 1);
         let r_bits = k as u32 * DIGIT_BITS;
-        let n_vec = VecNum::from_biguint(n, kk);
+        let n_vec = digits_on(backend, n, kk);
         let n0_inv = (1u64 << DIGIT_BITS) - inv_mod_digit(n.limbs()[0] & DIGIT_MASK);
         let rr = &BigUint::power_of_two(2 * r_bits) % n;
-        let rr_vec = VecNum::from_biguint(&rr, kk);
-        // N' = -n⁻¹ mod R for the truncated-reduction variant. n < R (it
-        // has exactly k digits) and is odd, so the inverse exists and is
-        // odd; R - inv never wraps.
+        let rr_vec = digits_on(backend, &rr, kk);
+        // N' = -n⁻¹ mod R for the batch kernels. n is odd, so the inverse
+        // exists and is odd; R - inv never wraps.
         let r = BigUint::power_of_two(r_bits);
-        let inv = n
-            .mod_inverse(&r)
-            .expect("odd modulus is invertible mod a power of two");
-        let nprime_digits = VecNum::from_biguint(&(&r - &inv), kk).digits().to_vec();
+        let inv = n.inverse_mod_pow2(r_bits);
+        let nprime_digits = digits_on(backend, &(&r - &inv), kk).digits().to_vec();
         Ok(VMontCtx {
             n: n.clone(),
             k,
@@ -177,10 +179,20 @@ impl VMontCtx {
         VecNum::zero(self.kk)
     }
 
-    /// Convert a residue into this context's digit form (no domain change).
+    /// Convert a residue into this context's digit form (no domain
+    /// change), charged to this context's backend.
     pub fn to_vec_form(&self, a: &BigUint) -> VecNum {
-        let reduced = if a < &self.n { a.clone() } else { a % &self.n };
-        VecNum::from_biguint(&reduced, self.kk)
+        if a < &self.n {
+            digits_on(self.backend, a, self.kk)
+        } else {
+            digits_on(self.backend, &(a % &self.n), self.kk)
+        }
+    }
+
+    /// Leave digit form (no domain change), charged to this context's
+    /// backend.
+    fn exit_vec_form(&self, a: &VecNum) -> BigUint {
+        with_backend!(self.backend, B => a.to_biguint_on::<B>())
     }
 
     /// Enter the Montgomery domain: `a·R mod n` in vector form.
@@ -193,13 +205,13 @@ impl VMontCtx {
     pub fn from_mont_vec(&self, a: &VecNum) -> BigUint {
         let mut one = self.zero_vec();
         one.digits[0] = 1;
-        self.mont_mul_vec(a, &one).to_biguint()
+        self.exit_vec_form(&self.mont_mul_vec(a, &one))
     }
 
     /// The Montgomery representation of 1.
     pub fn one_mont_vec(&self) -> VecNum {
         let r = &BigUint::power_of_two(self.r_bits) % &self.n;
-        VecNum::from_biguint(&r, self.kk)
+        digits_on(self.backend, &r, self.kk)
     }
 
     /// Vectorized Montgomery product `a·b·R⁻¹ mod n`.
@@ -221,15 +233,17 @@ impl VMontCtx {
         let _span = phi_trace::span(phi_trace::Scope::MontReduce);
         let mut out = self.mont_rows::<NativeX86>(a, b);
         B::record_all(&self.row_charge);
-        self.reduce_once(&mut out);
+        // `out < 2n`: one conditional subtraction reaches `[0, n)`.
+        out.cond_sub::<B>(&self.n_vec);
         out
     }
 
-    /// `t < 2n`: one conditional subtraction reaches `[0, n)`.
+    /// The conditional subtraction of [`mont_mul_generic`], charged to
+    /// this context's backend (the per-op reference the closed-form
+    /// charge is tested against).
+    #[cfg(test)]
     fn reduce_once(&self, t: &mut VecNum) {
-        if t.cmp_digits(&self.n_vec) != std::cmp::Ordering::Less {
-            t.sub_assign_digits(&self.n_vec);
-        }
+        with_backend!(self.backend, B => t.cond_sub::<B>(&self.n_vec))
     }
 
     /// The CIOS row loop and normalization: `a·b·R⁻¹` in `[0, 2n)`, in
@@ -239,17 +253,27 @@ impl VMontCtx {
         debug_assert_eq!(b.len(), self.kk);
         let chunks = self.chunks;
 
-        // Column accumulators, held in vector registers for the whole pass.
-        let mut acc = vec![B::V64::zero(); chunks];
+        // One buffer per call: the column accumulators, then the `chunks`
+        // vectors of `b` and of `n`, loaded once for all rows. Loads fold
+        // into the FMAs as memory sources on KNC and are free in the
+        // model, so hoisting them changes no count.
+        let mut regs = Vec::with_capacity(3 * chunks);
+        regs.resize(chunks, B::V64::zero());
+        regs.extend(b.digits.chunks_exact(LANES).map(B::V64::from_slice_folded));
+        regs.extend(
+            self.n_digits
+                .chunks_exact(LANES)
+                .map(B::V64::from_slice_folded),
+        );
+        let (acc, operands) = regs.split_at_mut(chunks);
+        let (b_vecs, n_vecs) = operands.split_at(chunks);
 
         for i in 0..self.k {
             let ai = a.digit(i);
 
-            // acc += a_i * B : one broadcast + `chunks` FMAs (the B operand
-            // folds into the FMA as a memory source, KNC-style).
+            // acc += a_i * B : one broadcast + `chunks` FMAs.
             let av = B::V64::splat(ai);
-            for (c, slot) in acc.iter_mut().enumerate() {
-                let b_chunk = B::V64::from_slice_folded(&b.digits[c * LANES..]);
+            for (slot, &b_chunk) in acc.iter_mut().zip(b_vecs) {
                 *slot = slot.fma32(av, b_chunk);
             }
 
@@ -260,8 +284,7 @@ impl VMontCtx {
 
             // acc += q * N : clears the low digit.
             let qv = B::V64::splat(q);
-            for (c, slot) in acc.iter_mut().enumerate() {
-                let n_chunk = B::V64::from_slice_folded(&self.n_digits[c * LANES..]);
+            for (slot, &n_chunk) in acc.iter_mut().zip(n_vecs) {
                 *slot = slot.fma32(qv, n_chunk);
             }
             debug_assert_eq!(acc[0].lane(0) & DIGIT_MASK, 0, "row {i} not reduced");
@@ -286,10 +309,12 @@ impl VMontCtx {
         // Normalize the redundant columns into proper 27-bit digits.
         let mut out = VecNum::zero(self.kk);
         let mut carry = 0u64;
-        for j in 0..self.kk {
-            let v = acc[j / LANES].lane(j % LANES) + carry;
-            out.digits[j] = v & DIGIT_MASK;
-            carry = v >> DIGIT_BITS;
+        for (digits, column) in out.digits.chunks_exact_mut(LANES).zip(acc.iter()) {
+            for (digit, lane) in digits.iter_mut().zip(column.to_lanes()) {
+                let v = lane + carry;
+                *digit = v & DIGIT_MASK;
+                carry = v >> DIGIT_BITS;
+            }
         }
         debug_assert_eq!(carry, 0, "result exceeded the padded width");
         B::record(OpClass::SAlu, 3 * self.kk as u64);
@@ -316,12 +341,11 @@ impl MontEngine for VMontCtx {
     }
 
     fn to_mont(&self, a: &BigUint) -> BigUint {
-        self.to_mont_vec(a).to_biguint()
+        self.exit_vec_form(&self.to_mont_vec(a))
     }
 
     fn from_mont(&self, a: &BigUint) -> BigUint {
-        let av = VecNum::from_biguint(a, self.kk);
-        self.from_mont_vec(&av)
+        self.from_mont_vec(&digits_on(self.backend, a, self.kk))
     }
 
     fn one_mont(&self) -> BigUint {
@@ -329,9 +353,9 @@ impl MontEngine for VMontCtx {
     }
 
     fn mont_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let av = VecNum::from_biguint(a, self.kk);
-        let bv = VecNum::from_biguint(b, self.kk);
-        self.mont_mul_vec(&av, &bv).to_biguint()
+        let av = digits_on(self.backend, a, self.kk);
+        let bv = digits_on(self.backend, b, self.kk);
+        self.exit_vec_form(&self.mont_mul_vec(&av, &bv))
     }
 }
 
@@ -519,12 +543,39 @@ mod tests {
             .from_mont_vec(&native.mont_mul_vec(&native.to_mont_vec(&a), &native.to_mont_vec(&b)));
         assert_eq!(rm, rn);
 
-        // The native kernel records nothing into the modeled counters.
+        // The native kernel, its conditional subtraction and the domain
+        // conversions record nothing into the modeled counters.
         count::reset();
-        let am = native.to_mont_vec(&a);
-        let (_, d) = count::measure(|| native.mont_mul_vec(&am, &am));
-        assert_eq!(d.get(OpClass::VMul), 0);
-        assert_eq!(d.get(OpClass::SMul32), 0);
+        let (am, d) = count::measure(|| native.to_mont_vec(&a));
+        assert_eq!(d, OpCounts::zero(), "to_mont_vec");
+        let (bm, d) = count::measure(|| native.to_mont_vec(&b));
+        assert_eq!(d, OpCounts::zero(), "to_mont_vec");
+        for (x, y) in [(&am, &am), (&am, &bm), (&bm, &bm)] {
+            let (_, d) = count::measure(|| native.mont_mul_vec(x, y));
+            assert_eq!(d, OpCounts::zero(), "mont_mul_vec");
+        }
+        let (back, d) = count::measure(|| native.from_mont_vec(&am));
+        assert_eq!(d, OpCounts::zero(), "from_mont_vec");
+        assert_eq!(back, a);
+    }
+
+    #[test]
+    fn nprime_matches_euclid_on_random_moduli() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x9E17);
+        for bits in [512u32, 1024, 2048] {
+            for _ in 0..3 {
+                let mut n = BigUint::random_bits(&mut rng, bits);
+                if n.is_even() {
+                    n = &n + &BigUint::one();
+                }
+                let ctx = VMontCtx::new(&n).unwrap();
+                let r = BigUint::power_of_two(ctx.digits() as u32 * DIGIT_BITS);
+                let euclid = &r - &n.mod_inverse(&r).unwrap();
+                let want = VecNum::from_biguint(&euclid, ctx.padded_digits());
+                assert_eq!(ctx.nprime_digits(), want.digits(), "{bits} bits");
+            }
+        }
     }
 
     #[test]

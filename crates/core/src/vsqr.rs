@@ -78,10 +78,7 @@ pub(crate) fn mont_sqr_sos_generic<B: VectorBackend>(ctx: &VMontCtx, a: &VecNum)
     B::record(OpClass::SAlu, 3 * kk as u64);
     B::record(OpClass::SMem, kk as u64);
 
-    let n_vec = VecNum::from_digits_unchecked(n_digits.to_vec());
-    if out.cmp_digits(&n_vec) != std::cmp::Ordering::Less {
-        out.sub_assign_digits(&n_vec);
-    }
+    out.cond_sub::<B>(&VecNum::from_digits_unchecked(n_digits.to_vec()));
     out
 }
 

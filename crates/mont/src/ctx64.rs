@@ -56,10 +56,7 @@ impl MontCtx64 {
         // N' = -n⁻¹ mod 2^(64k). An odd n is always invertible mod a power
         // of two, and the inverse is odd, so R - inv never wraps.
         let r = BigUint::power_of_two(r_bits);
-        let inv = (n % &r)
-            .mod_inverse(&r)
-            .expect("odd modulus is invertible mod a power of two");
-        let mut nprime = (&r - &inv).limbs().to_vec();
+        let mut nprime = (&r - &n.inverse_mod_pow2(r_bits)).limbs().to_vec();
         nprime.resize(k, 0);
         Ok(MontCtx64 {
             n: n.clone(),
